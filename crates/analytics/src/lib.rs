@@ -26,7 +26,8 @@
 //! * [`numeric`] — brute-force Poisson-summation reference implementations,
 //!   used by the property tests and available for cross-checking.
 //! * [`sweep`] — cross-scenario summarization (distribution summaries,
-//!   extrema, speedup ratios) for the core crate's scenario sweep runner.
+//!   extrema, degradation curves) for the core crate's scenario sweep
+//!   runner.
 //!
 //! # Example: the paper's headline numbers
 //!

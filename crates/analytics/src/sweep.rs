@@ -2,9 +2,8 @@
 //!
 //! The sweep runner (in the `consume-local` core crate) produces one outcome
 //! per grid point; this module reduces those outcomes to the aggregate
-//! numbers a trajectory record wants: distribution summaries of savings,
-//! offload and wall-time, the best/worst grid points, and perf speedup
-//! ratios against a recorded baseline.
+//! numbers a sweep document reports: distribution summaries of savings,
+//! offload and wall-time, and the best/worst grid points.
 
 use consume_local_stats::Summary;
 
@@ -128,14 +127,6 @@ impl DegradationCurve {
     }
 }
 
-/// The speedup ratio `baseline / current` of a timed kernel, or `None` when
-/// either measurement is non-positive or non-finite. `> 1` means the current
-/// code is faster than the recorded baseline.
-pub fn speedup(baseline_ms: f64, current_ms: f64) -> Option<f64> {
-    (baseline_ms.is_finite() && current_ms.is_finite() && baseline_ms > 0.0 && current_ms > 0.0)
-        .then(|| baseline_ms / current_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,14 +210,5 @@ mod tests {
         }]);
         assert!(unmeasured.baseline().is_none());
         assert!(unmeasured.savings_bounded_by_baseline(0.0));
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        assert_eq!(speedup(300.0, 100.0), Some(3.0));
-        assert_eq!(speedup(100.0, 200.0), Some(0.5));
-        assert_eq!(speedup(0.0, 100.0), None);
-        assert_eq!(speedup(100.0, 0.0), None);
-        assert_eq!(speedup(f64::NAN, 100.0), None);
     }
 }

@@ -10,7 +10,10 @@
 //! The workload scale for the trace-driven figures defaults to 5 % of
 //! September-2013 London and can be overridden with `CL_BENCH_SCALE`
 //! (e.g. `CL_BENCH_SCALE=0.25 cargo bench -p consume-local-bench`).
-//! EXPERIMENTS.md records the scale used for the committed numbers.
+//!
+//! End-to-end engine performance is measured by the layered benchmark
+//! under `perfbench/`; the Criterion timings here cover each figure's
+//! kernel only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,20 +46,14 @@ pub fn shared_experiment() -> Experiment {
         .expect("bench experiment config is valid")
 }
 
-/// The workspace root, regardless of the bench binary's working directory —
-/// where repo-level artefacts such as `BENCH_*.json` live.
-pub fn workspace_root() -> PathBuf {
-    // crates/bench/ → workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 /// Output directory for the regenerated figure data: the *workspace*
 /// `target/paper-figures/`, regardless of the bench binary's working
 /// directory.
 pub fn figures_dir() -> PathBuf {
+    // crates/bench/ → workspace root.
     let target = std::env::var("CARGO_TARGET_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| workspace_root().join("target"));
+        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"));
     target.join("paper-figures")
 }
 
@@ -72,23 +69,4 @@ pub fn save_csv(name: &str, csv: &str) {
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-/// The process's peak resident set size (`VmHWM`) in mebibytes, or `None`
-/// where `/proc` is unavailable (non-Linux). Pair with
-/// [`reset_peak_rss`] to attribute a peak to one pipeline stage.
-pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
-
-/// Resets the kernel's peak-RSS watermark (`echo 5 > /proc/self/clear_refs`)
-/// so the next [`peak_rss_mb`] reading reflects only allocations made after
-/// this call. Returns whether the reset was accepted (best-effort: some
-/// kernels/sandboxes refuse the write, in which case readings stay
-/// process-lifetime peaks).
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }

@@ -216,319 +216,6 @@ pub mod json {
         }
     }
 
-    impl JsonValue {
-        /// Looks a field up in an object (first match; `None` on non-objects).
-        pub fn get(&self, name: &str) -> Option<&JsonValue> {
-            match self {
-                JsonValue::Obj(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The numeric value of an `Int` or `Num` node.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                JsonValue::Int(i) => Some(*i as f64),
-                JsonValue::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        /// The string value of a `Str` node.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                JsonValue::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The elements of an `Arr` node.
-        pub fn as_array(&self) -> Option<&[JsonValue]> {
-            match self {
-                JsonValue::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// Parses a JSON document (the inverse of [`JsonValue::render`]).
-        ///
-        /// A by-hand recursive-descent parser matching the renderer's
-        /// dialect: numbers parse as `Int` when they are non-negative
-        /// integers without fraction/exponent, `Num` otherwise; `\uXXXX`
-        /// escapes (incl. surrogate pairs) are decoded.
-        ///
-        /// # Errors
-        ///
-        /// Returns the byte offset and a short message for malformed input.
-        pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-            let mut p = Parser {
-                bytes: text.as_bytes(),
-                pos: 0,
-            };
-            p.skip_ws();
-            let value = p.value()?;
-            p.skip_ws();
-            if p.pos != p.bytes.len() {
-                return Err(p.err("trailing characters after the document"));
-            }
-            Ok(value)
-        }
-    }
-
-    /// Error from [`JsonValue::parse`]: position plus message.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct JsonParseError {
-        /// Byte offset of the error in the input.
-        pub offset: usize,
-        /// What went wrong.
-        pub message: &'static str,
-    }
-
-    impl std::fmt::Display for JsonParseError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
-        }
-    }
-
-    impl std::error::Error for JsonParseError {}
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, message: &'static str) -> JsonParseError {
-            JsonParseError {
-                offset: self.pos,
-                message,
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, byte: u8, message: &'static str) -> Result<(), JsonParseError> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(message))
-            }
-        }
-
-        fn literal(&mut self, word: &str, message: &'static str) -> Result<(), JsonParseError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(())
-            } else {
-                Err(self.err(message))
-            }
-        }
-
-        fn value(&mut self) -> Result<JsonValue, JsonParseError> {
-            match self.peek() {
-                Some(b'n') => {
-                    self.literal("null", "expected `null`")?;
-                    Ok(JsonValue::Null)
-                }
-                Some(b't') => {
-                    self.literal("true", "expected `true`")?;
-                    Ok(JsonValue::Bool(true))
-                }
-                Some(b'f') => {
-                    self.literal("false", "expected `false`")?;
-                    Ok(JsonValue::Bool(false))
-                }
-                Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-
-        fn array(&mut self) -> Result<JsonValue, JsonParseError> {
-            self.eat(b'[', "expected `[`")?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(self.err("expected `,` or `]`")),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<JsonValue, JsonParseError> {
-            self.eat(b'{', "expected `{`")?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let name = self.string()?;
-                self.skip_ws();
-                self.eat(b':', "expected `:` after a field name")?;
-                self.skip_ws();
-                fields.push((name, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => return Err(self.err("expected `,` or `}`")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, JsonParseError> {
-            self.eat(b'"', "expected `\"`")?;
-            let mut out = String::new();
-            loop {
-                let Some(c) = self.peek() else {
-                    return Err(self.err("unterminated string"));
-                };
-                self.pos += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let Some(esc) = self.peek() else {
-                            return Err(self.err("unterminated escape"));
-                        };
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hi = self.hex4()?;
-                                let code = if (0xD800..0xDC00).contains(&hi) {
-                                    // Surrogate pair: a second \uXXXX must follow.
-                                    self.literal("\\u", "expected a low surrogate")?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    hi
-                                };
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid unicode escape"))?,
-                                );
-                            }
-                            _ => return Err(self.err("unknown escape")),
-                        }
-                    }
-                    _ if c < 0x20 => return Err(self.err("raw control character in string")),
-                    _ => {
-                        // Re-decode multi-byte UTF-8 from the source slice.
-                        let start = self.pos - 1;
-                        let len = utf8_len(c);
-                        self.pos = start + len;
-                        let chunk = self
-                            .bytes
-                            .get(start..self.pos)
-                            .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                        out.push_str(
-                            std::str::from_utf8(chunk)
-                                .map_err(|_| self.err("invalid UTF-8 sequence"))?,
-                        );
-                    }
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u32, JsonParseError> {
-            let chunk = self
-                .bytes
-                .get(self.pos..self.pos + 4)
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid \\u escape"))?;
-            let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-            self.pos += 4;
-            Ok(v)
-        }
-
-        fn number(&mut self) -> Result<JsonValue, JsonParseError> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            let mut integral = true;
-            if self.peek() == Some(b'.') {
-                integral = false;
-                self.pos += 1;
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                integral = false;
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-            if integral {
-                if let Ok(i) = text.parse::<u64>() {
-                    return Ok(JsonValue::Int(i));
-                }
-            }
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| self.err("malformed number"))
-        }
-    }
-
-    /// Length in bytes of the UTF-8 sequence starting with `first`.
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7f => 1,
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            _ => 4,
-        }
-    }
-
     fn write_escaped(out: &mut String, s: &str) {
         out.push('"');
         for c in s.chars() {
@@ -581,70 +268,6 @@ pub mod json {
         #[should_panic(expected = "requires a JSON object")]
         fn field_on_non_object_panics() {
             let _ = JsonValue::Null.field("x", 1u64);
-        }
-
-        #[test]
-        fn parse_round_trips_rendered_documents() {
-            let doc = JsonValue::object()
-                .field("name", "sweep \"q\"\n")
-                .field("n", 3u64)
-                .field("neg", -2.5)
-                .field("ok", true)
-                .field("nothing", JsonValue::Null)
-                .field("ratio", 0.5)
-                .field(
-                    "items",
-                    vec![JsonValue::Int(1), JsonValue::Num(2.0), JsonValue::Null],
-                )
-                .field("nested", JsonValue::object().field("x", 7u64));
-            let text = doc.render();
-            let parsed = JsonValue::parse(&text).unwrap();
-            assert_eq!(parsed, doc);
-            // And the round trip is byte-stable.
-            assert_eq!(parsed.render(), text);
-        }
-
-        #[test]
-        fn parse_accepts_whitespace_and_escapes() {
-            let parsed = JsonValue::parse(
-                " { \"a\" : [ 1 , 2.5e1 , \"x\\u0041\\ud83d\\ude00\" ] , \"b\" : { } } ",
-            )
-            .unwrap();
-            let arr = parsed.get("a").unwrap().as_array().unwrap();
-            assert_eq!(arr[0], JsonValue::Int(1));
-            assert_eq!(arr[1], JsonValue::Num(25.0));
-            assert_eq!(arr[2].as_str().unwrap(), "xA😀");
-            assert_eq!(parsed.get("b").unwrap(), &JsonValue::object());
-            assert!(parsed.get("missing").is_none());
-        }
-
-        #[test]
-        fn parse_rejects_malformed_documents() {
-            for bad in [
-                "",
-                "{",
-                "[1,]",
-                "{\"a\":}",
-                "{\"a\":1,}",
-                "nul",
-                "\"unterminated",
-                "1 2",
-                "{\"a\" 1}",
-                "[\"\\q\"]",
-            ] {
-                let err = JsonValue::parse(bad).unwrap_err();
-                assert!(!err.to_string().is_empty(), "{bad:?} must not parse");
-            }
-        }
-
-        #[test]
-        fn accessors_select_types() {
-            assert_eq!(JsonValue::Int(4).as_f64(), Some(4.0));
-            assert_eq!(JsonValue::Num(0.5).as_f64(), Some(0.5));
-            assert_eq!(JsonValue::Str("x".into()).as_f64(), None);
-            assert_eq!(JsonValue::Null.as_str(), None);
-            assert!(JsonValue::Null.as_array().is_none());
-            assert!(JsonValue::Null.get("x").is_none());
         }
     }
 }

@@ -46,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ascii;
-pub mod benchguard;
 pub mod error;
 pub mod experiment;
 pub mod export;

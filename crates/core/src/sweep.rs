@@ -16,9 +16,9 @@
 //!    the same slot-ordered work stealing the sim engine uses — results are
 //!    deterministic for any worker count;
 //! 3. [`SweepReport`] carries one [`ScenarioOutcome`] per grid point and
-//!    renders to JSON (schema `consume-local/sweep-v1`) for `BENCH_*.json`
-//!    trajectory tracking; [`SweepReport::to_json_deterministic`] omits
-//!    wall-times so identical sweeps render byte-identical documents.
+//!    renders to JSON (schema `consume-local/sweep-v1`);
+//!    [`SweepReport::to_json_deterministic`] omits wall-times so identical
+//!    sweeps render byte-identical documents.
 //!
 //! # Example
 //!

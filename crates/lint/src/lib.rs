@@ -17,9 +17,7 @@
 //! * [`Rule::HashIter`] — hash-table iteration needs a sort or a
 //!   justification;
 //! * [`Rule::CrateHeader`] — crate roots carry `#![forbid(unsafe_code)]`
-//!   and the missing-docs policy;
-//! * [`Rule::BenchRecordSchema`] — committed `BENCH_*.json` records match
-//!   `consume-local/bench-v1`.
+//!   and the missing-docs policy.
 //!
 //! The scanner is a hand-rolled lexer ([`lexer`]) that skips strings, char
 //! literals, raw strings and comments, so rule names inside documentation
@@ -51,11 +49,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod lexer;
 pub mod rules;
 pub mod walk;
 
-pub use bench::validate_bench_record;
 pub use rules::{lint_source, Diagnostic, FileClass, Rule};
 pub use walk::{classify, lint_workspace, LintReport};

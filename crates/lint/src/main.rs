@@ -30,9 +30,8 @@ fn main() -> ExitCode {
         println!("{finding}");
     }
     println!(
-        "consume-local-lint: {} file(s) scanned, {} bench record(s) checked, {} finding(s)",
+        "consume-local-lint: {} file(s) scanned, {} finding(s)",
         report.files_scanned,
-        report.records_checked,
         report.diagnostics.len()
     );
     if report.is_clean() {

@@ -10,7 +10,6 @@
 //! | `no-wall-clock` | wall-clock values never reach an output path outside benches/telemetry |
 //! | `hash-iter` | hash-table iteration order never reaches an output path |
 //! | `crate-header` | every crate root forbids `unsafe` and keeps the docs policy |
-//! | `bench-record-schema` | committed `BENCH_*.json` records stay parseable and well-formed |
 //! | `deprecated-sim-entry` | internal code feeds the engine through `Simulator::simulate`, not the deprecated `run_*` wrappers |
 //! | `snapshot-format` | every snapshot byte flows through the `checkpoint` envelope codec — no raw byte I/O in the sim crate |
 //!
@@ -43,8 +42,6 @@ pub enum Rule {
     HashIter,
     /// Missing `#![forbid(unsafe_code)]` / missing-docs policy on a crate root.
     CrateHeader,
-    /// A committed `BENCH_*.json` record violating `consume-local/bench-v1`.
-    BenchRecordSchema,
     /// A call to a deprecated `Simulator::run_*` wrapper inside the
     /// workspace (downstream users get the rustc deprecation warning; this
     /// keeps our own code off the legacy entry points).
@@ -67,7 +64,6 @@ impl Rule {
             Rule::NoWallClock => "no-wall-clock",
             Rule::HashIter => "hash-iter",
             Rule::CrateHeader => "crate-header",
-            Rule::BenchRecordSchema => "bench-record-schema",
             Rule::DeprecatedSimEntry => "deprecated-sim-entry",
             Rule::SnapshotFormat => "snapshot-format",
             Rule::AllowPragma => "allow-pragma",
@@ -83,7 +79,6 @@ impl Rule {
             "no-wall-clock" => Some(Rule::NoWallClock),
             "hash-iter" => Some(Rule::HashIter),
             "crate-header" => Some(Rule::CrateHeader),
-            "bench-record-schema" => Some(Rule::BenchRecordSchema),
             "deprecated-sim-entry" => Some(Rule::DeprecatedSimEntry),
             "snapshot-format" => Some(Rule::SnapshotFormat),
             _ => None,

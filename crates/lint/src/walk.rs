@@ -3,8 +3,8 @@
 //! The walker visits `crates/`, `shims/`, `src/`, `tests/` and `examples/`
 //! under the workspace root, in sorted order (so diagnostics are stable
 //! across machines and runs — the lint's own output must honour the
-//! no-hash-order invariant it enforces), classifies each `.rs` file for the
-//! per-file rules, and validates every `BENCH_*.json` record at the root.
+//! no-hash-order invariant it enforces) and classifies each `.rs` file for
+//! the per-file rules.
 //!
 //! Skipped: `target/` (build output) and any directory named `fixtures`
 //! (lint test fixtures *contain* violations on purpose).
@@ -13,7 +13,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::bench::validate_bench_record;
 use crate::rules::{lint_source, Diagnostic, FileClass};
 
 /// The top-level directories the walker scans for Rust sources.
@@ -29,8 +28,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of `BENCH_*.json` records validated.
-    pub records_checked: usize,
 }
 
 impl LintReport {
@@ -67,7 +64,7 @@ pub fn classify(rel: &str) -> FileClass {
 }
 
 /// Lints the workspace rooted at `root`: every `.rs` file under the scan
-/// directories plus the root `BENCH_*.json` records.
+/// directories.
 ///
 /// # Errors
 ///
@@ -92,25 +89,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             .diagnostics
             .extend(lint_source(&rel, &source, &classify(&rel)));
         report.files_scanned += 1;
-    }
-
-    let mut records: Vec<PathBuf> = fs::read_dir(root)?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    records.sort();
-    for path in &records {
-        let rel = relative_label(root, path);
-        let text = fs::read_to_string(path)?;
-        report
-            .diagnostics
-            .extend(validate_bench_record(&rel, &text));
-        report.records_checked += 1;
     }
 
     report

@@ -33,11 +33,6 @@ fn live_workspace_lints_clean() {
         "only {} files scanned — walker misconfigured?",
         report.files_scanned
     );
-    assert!(
-        report.records_checked >= 4,
-        "only {} bench records checked",
-        report.records_checked
-    );
 }
 
 #[test]

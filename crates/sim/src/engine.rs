@@ -1178,8 +1178,7 @@ impl std::fmt::Debug for SwarmSim {
 /// Peak memory is the batch being fed plus the engine's own state
 /// (active/carried sessions, accumulators and the growing report) — the
 /// trace itself is never resident as a whole, which is what makes the
-/// `large`/`full` presets runnable on one-day-sized memory
-/// (`BENCH_5.json` tracks the measured peak RSS).
+/// `large`/`full` presets runnable on one-day-sized memory.
 #[derive(Debug)]
 pub struct SegmentedRun {
     sim: Simulator,

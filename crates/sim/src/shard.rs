@@ -20,8 +20,7 @@
 //! live days, matcher scratch) is ever resident — a five-city metro peaks
 //! near one city's engine footprint plus the accumulated compact reports.
 //! `tests/determinism.rs` pins sharded-vs-union byte-identity at 1/2/8
-//! threads, and the `metro_scale` bench asserts it at 10.8 M users before
-//! writing `BENCH_8.json`.
+//! threads.
 //!
 //! # Contract
 //!

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut grid = SweepGrid::churn_degradation(preset);
     if quick {
         // Two churn points, no defection axis: one trace per point, fast
-        // enough for the CI bench-quick job while still pinning the
+        // enough for the CI benchmark job while still pinning the
         // monotone-degradation sanity check below.
         grid.churn_rates = vec![0.0, 0.5];
         grid.cooperation = vec![1.0];
