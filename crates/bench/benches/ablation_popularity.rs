@@ -1,6 +1,7 @@
 //! Ablation A5 — popularity calibration: how much the aggregate savings
 //! depend on demand concentration. This is the single biggest lever behind
-//! the paper's full-scale headline numbers (DESIGN.md §2, EXPERIMENTS.md):
+//! the paper's full-scale headline numbers (see the scaling note on
+//! `TraceConfig::catalogue_size`):
 //! the same engine under a flatter single-Zipf catalogue produces far less
 //! sharing than the catch-up-TV broken power law.
 
@@ -68,7 +69,8 @@ fn regenerate() {
     save_csv("ablation_popularity.csv", &csv);
     println!("aggregate savings track how much traffic sits in high-capacity head swarms;");
     println!("reproducing the paper's 30%/18% headline requires the real trace's (not");
-    println!("public) demand concentration — see EXPERIMENTS.md.");
+    println!("public) demand concentration — see the scaling note on");
+    println!("TraceConfig::catalogue_size.");
 }
 
 fn benches(c: &mut Criterion) {

@@ -2,9 +2,12 @@
 //!
 //! For every sub-swarm the engine sweeps the trace in Δτ windows, skipping
 //! idle gaps, and delegates per-window upload assignment to the configured
-//! matcher. Sub-swarms are independent, so the engine shards them across
-//! std-scoped worker threads; results are merged in deterministic key
-//! order and the random matcher is seeded per swarm, so the report is
+//! matcher. Sub-swarms are independent, so every batch advances their
+//! machines across std-scoped worker threads, in contiguous chunks of the
+//! key-sorted machines cut by a deterministic per-machine cost: the key
+//! leads with the popularity rank, so the head swarms sit at the front and
+//! get chunks of their own. Results are merged in deterministic key order
+//! and the random matcher is seeded per swarm, so the report is
 //! bit-identical regardless of thread count.
 //!
 //! The engine replays the **columnar** [`SessionStore`]: grouping reads the
@@ -37,7 +40,7 @@ use consume_local_trace::{
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
 use crate::ledger::ByteLedger;
-use crate::par::{parallel_map, parallel_map_slices};
+use crate::par::parallel_map_slices;
 use crate::report::{DailyIspCell, Degradation, SimReport, SimWarning, SwarmReport, UserTraffic};
 use crate::source::SessionSource;
 
@@ -244,11 +247,12 @@ impl Simulator {
         self.run_store_with(store, Self::simulate_swarm_rows)
     }
 
-    /// The engine pipeline around a pluggable per-swarm simulation:
-    /// grouping, the parallel per-swarm fan-out and the deterministic merge
-    /// mirror the production one-shot path ([`SegmentedRun::push_batch`]'s
-    /// whole-horizon fast path). Test-only: it exists so the row-based
-    /// oracle runs through an identical pipeline.
+    /// The engine pipeline around a pluggable per-swarm simulation: the
+    /// production grouping, a per-swarm parallel fan-out over the whole
+    /// store and the production key-ordered merge. Test-only: it exists so
+    /// the row-based oracle and the single-pass columnar machine share
+    /// production's grouping and merge, while production itself advances
+    /// every machine through [`SegmentedRun::push_batch`].
     #[cfg(test)]
     fn run_store_with(
         &self,
@@ -261,7 +265,7 @@ impl Simulator {
         // 2. Simulate swarms (work-stealing across threads; each swarm's
         //    result is placed at its key-ordered slot).
         let n = keyed.len();
-        let outputs = parallel_map(n, self.config.threads, |i| {
+        let outputs = crate::par::parallel_map(n, self.config.threads, |i| {
             let (key, range) = &keyed[i];
             simulate(self, *key, &indices[range.clone()], store)
         });
@@ -367,9 +371,9 @@ impl Simulator {
 
     /// Simulates one sub-swarm over its sessions (already start-ordered):
     /// one [`SwarmSim`] driven over the whole store in a single
-    /// [`SwarmSim::advance`] pass. Test-only: the production one-shot path
-    /// runs the same machine through [`SegmentedRun::push_batch`]'s
-    /// whole-horizon fan-out; this shape feeds the row-oracle pipeline.
+    /// [`SwarmSim::advance`] pass. Test-only: production runs the same
+    /// machine through [`SegmentedRun::push_batch`], one advance per batch
+    /// that brings it work; this shape feeds the row-oracle pipeline.
     #[cfg(test)]
     fn simulate_swarm(&self, key: SwarmKey, indices: &[u32], store: &SessionStore) -> SwarmOutput {
         let first = indices[0] as usize;
@@ -1054,6 +1058,24 @@ impl SwarmSim {
         self.active.is_empty() && self.carry.is_empty()
     }
 
+    /// What [`cost_chunks`] charges for advancing the machine over a batch
+    /// that brings it `new_sessions` sessions: nothing when it is quiescent
+    /// and gets none, otherwise one for the visit plus every session it
+    /// admits, holds active or carries.
+    fn push_cost(&self, new_sessions: usize) -> u64 {
+        if new_sessions == 0 && self.is_quiescent() {
+            return 0;
+        }
+        (1 + new_sessions + self.active.len() + self.carry.len()) as u64
+    }
+
+    /// What [`cost_chunks`] charges for the final drain and
+    /// [`SwarmSim::take_output`]: one for the visit plus every user the
+    /// output sorts and every session still active or carried.
+    fn finish_cost(&self) -> u64 {
+        (1 + self.users.len() + self.active.len() + self.carry.len()) as u64
+    }
+
     /// Releases window-loop scratch while the machine is quiescent between
     /// segments. Hundreds of thousands of machines persist across a
     /// full-scale run but only a day's worth are ever mid-session; the
@@ -1109,16 +1131,52 @@ impl SwarmSim {
     }
 }
 
-/// Contiguous chunk offsets splitting `n` per-swarm states across workers
-/// with mild over-partitioning for load balance: a [`parallel_map_slices`]
-/// steal costs one lock per *chunk*, so chunking per state would pay one
-/// lock per swarm per segment — hundreds of millions at full scale.
-fn state_chunks(n: usize, workers: usize) -> Vec<usize> {
-    const OVERPARTITION: usize = 8;
-    let chunks = (workers.max(1) * OVERPARTITION).min(n.max(1));
-    let per = n.div_ceil(chunks).max(1);
-    let mut offsets: Vec<usize> = (0..).map(|i| i * per).take_while(|&o| o < n).collect();
-    offsets.push(n);
+/// Chunks per worker in [`cost_chunks`]: slack for work stealing to even
+/// out a misestimated cost. A [`parallel_map_slices`] steal costs one lock
+/// per *chunk*, so chunking per state would pay one lock per swarm per
+/// batch — hundreds of millions at full scale.
+const CHUNKS_PER_WORKER: u64 = 8;
+
+/// Contiguous chunk offsets fanning the key-sorted per-swarm states out
+/// over `workers` threads, cut by each state's deterministic cost
+/// ([`SwarmSim::push_cost`] or [`SwarmSim::finish_cost`]) instead of by
+/// count.
+///
+/// The key leads with [`ContentId`], which is the popularity rank, so the
+/// head swarms sit at the front: chunks of equal *count* would hand the
+/// first one most of the work. Here a chunk closes as soon as its cost
+/// reaches the target `total / (workers × 8)`, rounded up. A head swarm at
+/// or above the target therefore gets a chunk of its own, and
+/// [`parallel_map_slices`] steals chunks in index order, so the head
+/// swarms start first.
+///
+/// The offsets are ascending and cover `0..costs.len()` in at most
+/// `workers × 8` chunks, each costing at most the target plus its heaviest
+/// state; zero-cost states ride in whichever chunk holds them. When every
+/// cost is zero there are no chunks, so nothing fans out. Chunking decides
+/// only which thread advances a machine, never what it computes.
+fn cost_chunks(costs: &[u64], workers: usize) -> Vec<usize> {
+    let total: u64 = costs.iter().sum();
+    if total == 0 {
+        return Vec::new();
+    }
+    let target = total.div_ceil(workers.max(1) as u64 * CHUNKS_PER_WORKER);
+    let mut offsets = vec![0];
+    let mut acc = 0u64;
+    for (i, &cost) in costs.iter().enumerate() {
+        acc += cost;
+        if acc >= target {
+            offsets.push(i + 1);
+            acc = 0;
+        }
+    }
+    if acc > 0 {
+        // A remainder below the target closes one more chunk.
+        offsets.push(costs.len());
+    } else {
+        // Trailing zero-cost states join the last chunk.
+        *offsets.last_mut().expect("total > 0 closed a chunk") = costs.len();
+    }
     offsets
 }
 
@@ -1173,7 +1231,10 @@ impl std::fmt::Debug for SwarmSim {
 
 /// An in-progress incremental simulation (see [`Simulator::begin`]):
 /// persistent per-swarm window-loop machines, keyed and key-sorted,
-/// advanced one watermarked session batch at a time.
+/// advanced one watermarked session batch at a time. Every batch — a day,
+/// a 15-minute tick or the whole horizon at once — takes the same path:
+/// upsert the batch's swarms, then advance the machines with work in
+/// cost-balanced chunks, freezing the ones that fall quiescent.
 ///
 /// Peak memory is the batch being fed plus the engine's own state
 /// (active/carried sessions, accumulators and the growing report) — the
@@ -1224,69 +1285,52 @@ impl SegmentedRun {
     ///
     /// Grouping, machine upsert and the parallel fan-out are deterministic
     /// for any thread count, and any batch schedule of the same sessions
-    /// produces byte-identical final output. A first batch that already
-    /// covers the whole horizon takes the one-shot fast path: per-swarm
-    /// work-stealing over the grouped store, exactly the shape the
-    /// monolithic whole-store replay always had.
+    /// produces byte-identical final output. A whole-horizon batch (the
+    /// monolithic store's shape) is no special case: it is one push whose
+    /// advance runs every machine to the horizon.
+    ///
+    /// The fan-out is cut by cost, not by count: a machine that is
+    /// quiescent and gets no sessions costs nothing and is skipped, any
+    /// other costs one plus its batch sessions, active and carried
+    /// sessions. Head swarms thus get chunks of their own, and a batch that
+    /// brings no work spawns no thread.
     ///
     /// # Panics
     ///
-    /// Panics if `watermark` is below the previous watermark.
+    /// Panics if `watermark` is below the previous watermark, if a session
+    /// in `batch` starts outside `[previous watermark, watermark)`, or if
+    /// a session's user id is not below the run's population length (its
+    /// bytes would have no per-user row to land in). All three are checked
+    /// before any state changes.
     pub fn push_batch(&mut self, batch: &SessionStore, watermark: u64) {
         assert!(
             watermark >= self.watermark,
             "watermark must be monotone: {watermark} < {}",
             self.watermark
         );
-        debug_assert!(
+        assert!(
             batch.is_empty()
                 || (batch.start_secs()[0] >= self.watermark
                     && *batch.start_secs().last().expect("non-empty") < watermark),
             "batch sessions must start in [previous watermark, watermark)"
         );
         let (s, u, c) = batch.sort_key_maxima();
+        assert!(
+            batch.is_empty() || (u as usize) < self.population_len,
+            "batch user id {u} is outside the population of {} users",
+            self.population_len
+        );
         self.max_start_secs = self.max_start_secs.max(s);
         self.max_user = self.max_user.max(u);
         self.max_content = self.max_content.max(c);
 
         let limit = watermark;
-        let one_shot = self.states.is_empty() && self.watermark == 0 && limit >= self.horizon_secs;
         self.watermark = watermark;
 
         // 1. Group the batch's sessions into sub-swarms — the same shared
         //    grouping every path uses, so they can never diverge on keying
         //    or tie order.
         let (indices, groups) = group_by_swarm(&self.sim.config, batch);
-
-        // One-shot fast path: the whole horizon in one batch (simulate on a
-        // monolithic store, the sweep runner's shape). Per-swarm
-        // work-stealing balances the head swarms' load better than the
-        // chunked incremental fan-out, and groups come out key-ordered, so
-        // the states land already sorted.
-        if one_shot {
-            let sim = &self.sim;
-            let horizon = self.horizon_secs;
-            self.states = parallel_map(groups.len(), sim.config.threads, |i| {
-                let (key, range) = &groups[i];
-                let idx = &indices[range.clone()];
-                let first = idx[0] as usize;
-                let mut swarm = SwarmSim::new(
-                    sim,
-                    *key,
-                    batch.start_secs()[first],
-                    batch.device()[first].bitrate_bps(),
-                );
-                swarm.advance(sim, batch, idx, u64::MAX, horizon);
-                SwarmState {
-                    key: *key,
-                    sessions: idx.len() as u64,
-                    frozen: Vec::new(),
-                    swarm,
-                }
-            });
-            return;
-        }
-        let segment = batch;
 
         // 2. Upsert machines: existing swarms count their new sessions, new
         //    keys get a machine initialised from their earliest session.
@@ -1303,8 +1347,8 @@ impl SegmentedRun {
                         swarm: SwarmSim::new(
                             &self.sim,
                             *key,
-                            segment.start_secs()[first],
-                            segment.device()[first].bitrate_bps(),
+                            batch.start_secs()[first],
+                            batch.device()[first].bitrate_bps(),
                         ),
                     });
                 }
@@ -1315,20 +1359,27 @@ impl SegmentedRun {
             self.states.sort_by_key(|s| s.key);
         }
 
-        // 3. Advance every machine with work, in parallel over disjoint
-        //    per-state chunks (slot-ordered: the final state of every
-        //    machine is independent of which thread ran it).
-        let work: Vec<&[u32]> = self
+        // 3. Pair every machine with its batch sessions and price its
+        //    advance, in one merge walk: states and groups are both
+        //    key-sorted, and after the upsert every group has a machine.
+        let mut pending = groups.iter().peekable();
+        let (work, costs): (Vec<&[u32]>, Vec<u64>) = self
             .states
             .iter()
             .map(|s| {
-                groups
-                    .binary_search_by(|(key, _)| key.cmp(&s.key))
-                    .map(|g| &indices[groups[g].1.clone()])
-                    .unwrap_or(&[])
+                let sessions = match pending.next_if(|(key, _)| *key == s.key) {
+                    Some((_, range)) => &indices[range.clone()],
+                    None => &[][..],
+                };
+                (sessions, s.swarm.push_cost(sessions.len()))
             })
-            .collect();
-        let offsets = state_chunks(self.states.len(), self.sim.config.threads);
+            .unzip();
+        debug_assert!(pending.next().is_none(), "every group has a machine");
+
+        // 4. Advance every machine with work, in parallel over disjoint
+        //    cost-balanced chunks (slot-ordered: the final state of every
+        //    machine is independent of which thread ran it).
+        let offsets = cost_chunks(&costs, self.sim.config.threads);
         let sim = &self.sim;
         let horizon = self.horizon_secs;
         let spill = sim.config.spill;
@@ -1339,11 +1390,12 @@ impl SegmentedRun {
             |ci, chunk| {
                 let base = offsets[ci];
                 for (j, state) in chunk.iter_mut().enumerate() {
-                    let indices = work[base + j];
-                    if indices.is_empty() && state.swarm.is_quiescent() {
+                    if costs[base + j] == 0 {
                         continue;
                     }
-                    state.swarm.advance(sim, segment, indices, limit, horizon);
+                    state
+                        .swarm
+                        .advance(sim, batch, work[base + j], limit, horizon);
                     if state.swarm.is_quiescent() {
                         if spill {
                             state.swarm.freeze();
@@ -1481,7 +1533,8 @@ impl SegmentedRun {
         // Drain and extract in one parallel pass: `take_output` leaves each
         // machine empty, so the per-swarm user sort runs on the workers.
         let drain_store = SessionStore::from_records(&[], horizon_secs, 0);
-        let offsets = state_chunks(states.len(), sim.config.threads);
+        let costs: Vec<u64> = states.iter().map(|s| s.swarm.finish_cost()).collect();
+        let offsets = cost_chunks(&costs, sim.config.threads);
         let chunked: Vec<Vec<(SwarmKey, u64, SwarmOutput)>> =
             parallel_map_slices(&mut states, &offsets, sim.config.threads, |_, chunk| {
                 chunk
@@ -2606,7 +2659,8 @@ mod tests {
     #[test]
     fn single_advance_pass_matches_production_fan_out() {
         // The columnar machine driven in one whole-horizon advance (the
-        // test pipeline) against the production push_batch fast path.
+        // test pipeline) against production's push_batch on the store as
+        // one whole-horizon batch: cost-chunked fan-out, freeze and spill.
         let trace = tiny_trace();
         let store = SessionStore::from_trace(&trace);
         let sim = Simulator::new(SimConfig::default());
@@ -2614,6 +2668,108 @@ mod tests {
             sim.run_store_with(&store, Simulator::simulate_swarm),
             sim.simulate(&store)
         );
+    }
+
+    /// Checks [`cost_chunks`]' contract on one cost vector.
+    fn check_cost_chunks(costs: &[u64], workers: usize) {
+        let offsets = cost_chunks(costs, workers);
+        let total: u64 = costs.iter().sum();
+        let case = format!("{} states, {workers} workers", costs.len());
+        if total == 0 {
+            assert!(offsets.is_empty(), "{case}: zero cost must not fan out");
+            return;
+        }
+        assert_eq!(offsets.first(), Some(&0), "{case}");
+        assert_eq!(offsets.last(), Some(&costs.len()), "{case}");
+        assert!(
+            offsets.windows(2).all(|w| w[0] < w[1]),
+            "{case}: offsets must ascend"
+        );
+        let max_chunks = workers as u64 * CHUNKS_PER_WORKER;
+        assert!(
+            offsets.len() as u64 - 1 <= max_chunks,
+            "{case}: too many chunks"
+        );
+        let target = total.div_ceil(max_chunks);
+        for w in offsets.windows(2) {
+            let chunk = &costs[w[0]..w[1]];
+            let heaviest = *chunk.iter().max().expect("chunks are non-empty");
+            assert!(
+                chunk.iter().sum::<u64>() <= target + heaviest,
+                "{case}: chunk {w:?} overshoots the target {target}"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_chunks_cover_every_state_within_the_bound() {
+        // Zipf-shaped costs with a quiescent tail, the shape a daily push
+        // sees; flat, sparse, single and empty vectors; and a
+        // pseudo-random mix with many zero-cost states.
+        let zipf: Vec<u64> = (1..=400u64).map(|rank| 90_000 / rank).collect();
+        let mut quiet_tail = zipf.clone();
+        quiet_tail.extend([0; 300]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mixed: Vec<u64> = (0..777)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 3 == 0 {
+                    0
+                } else {
+                    x % 1_000
+                }
+            })
+            .collect();
+        let cases = [
+            Vec::new(),
+            vec![0; 9],
+            vec![7],
+            vec![0, 0, 5, 0, 0],
+            vec![1; 1_000],
+            zipf,
+            quiet_tail,
+            mixed,
+        ];
+        for costs in &cases {
+            for workers in [1, 2, 3, 8, 64] {
+                check_cost_chunks(costs, workers);
+            }
+        }
+    }
+
+    #[test]
+    fn cost_chunks_give_head_swarms_chunks_of_their_own() {
+        // Two head swarms above the 2-worker target (1/16 of the total)
+        // each close a chunk alone, ahead of the tail.
+        let mut costs = vec![5_000, 2_000];
+        costs.extend([10; 300]);
+        // (16 chunks of equal count would have put both heads and 17 tail
+        // swarms in the first one: 72 % of the work on one thread.)
+        let offsets = cost_chunks(&costs, 2);
+        assert_eq!(offsets[..3], [0, 1, 2]);
+        check_cost_chunks(&costs, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
+    fn push_batch_rejects_sessions_past_the_watermark() {
+        let trace = pair_trace(100);
+        let store = SessionStore::from_trace(&trace);
+        let sim = Simulator::new(SimConfig::default());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        // The second session starts at 100 s, past this watermark.
+        run.push_batch(&store, 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch user id 7 is outside the population of 2 users")]
+    fn push_batch_rejects_users_outside_the_population() {
+        let mut records = pair_trace(0).sessions().to_vec();
+        records[1].user = UserId(7);
+        let store = SessionStore::from_records(&records, 86_400, 2);
+        let _ = Simulator::new(SimConfig::default()).simulate(&store);
     }
 
     #[test]
@@ -3061,16 +3217,21 @@ mod tests {
             "single old-bound exceedance must stay on the fast path"
         );
 
-        // Jointly pathological maxima (user and content widths alone
-        // overflow 64 bits) trip the warning, which carries the measured
-        // maxima and is identical on every path.
+        // Jointly pathological maxima trip the warning, which carries the
+        // measured maxima and is identical on every path. The user id
+        // stays inside the population (the engine rejects any other), so
+        // the overflow is start + user + content: 22 + 11 + 32 bits.
         let mut wide = records[0];
-        wide.user = UserId(u32::MAX);
+        wide.start = SimTime(horizon - 1);
+        wide.user = UserId(users as u32 - 1);
         wide.content = ContentId(u32::MAX);
         records.push(wide);
         let doctored = SessionStore::from_records(&records, horizon, users);
         let report = sim.simulate(&doctored);
         let (max_start_secs, max_user, max_content) = doctored.sort_key_maxima();
+        assert!(consume_local_trace::generator::sort_key_fallback_required(
+            (max_start_secs, max_user, max_content)
+        ));
         assert_eq!(
             report.warnings,
             vec![SimWarning::SortKeyFallback {

@@ -35,12 +35,12 @@ pub struct TraceConfig {
     pub sessions_target: u64,
     /// Catalogue size in items.
     ///
-    /// Scaling note (DESIGN.md §2): [`TraceConfig::scaled`] shrinks the
-    /// catalogue together with sessions so that *mean* per-item view counts
-    /// stay at the paper's level. The catalogue *head* still shrinks with
-    /// scale (the popularity normaliser covers fewer items), so scaled runs
-    /// have smaller top-swarm capacities than full-scale London — see
-    /// EXPERIMENTS.md for the scale sensitivity.
+    /// Scaling note: [`TraceConfig::scaled`] shrinks the catalogue together
+    /// with sessions so that *mean* per-item view counts stay at the
+    /// paper's level. The catalogue *head* still shrinks with scale (the
+    /// popularity normaliser covers fewer items), so scaled runs have
+    /// smaller top-swarm capacities than full-scale London, and absolute
+    /// savings sit below the paper's while their orderings and shapes hold.
     pub catalogue_size: u32,
     /// Popularity model over the catalogue ranks.
     pub popularity: Popularity,
@@ -321,7 +321,9 @@ fn session_sort_key(s: &SessionRecord) -> u128 {
 /// a bucket, so the layout is independent of worker count), and each bucket
 /// then sorts independently. Sorting ~720 L1-resident hour slices beats one
 /// global sort of the scrambled concatenation — the start column only
-/// interleaves *within* an hour, never across hours.
+/// interleaves *within* an hour, never across hours. Sparse input, whose
+/// start hours outnumber its records more than 8 to 1, sorts as one bucket
+/// instead, so memory follows the record count, not the clock.
 ///
 /// The per-bucket sorts fan out across up to `workers` threads over the
 /// disjoint bucket slices ([`parallel_map_slices`]):
@@ -350,6 +352,11 @@ pub fn merge_session_batches_wide(
     merge_session_batches_inner(per_item, workers, true)
 }
 
+/// Hours per record past which [`merge_session_batches`] stops bucketing by
+/// hour and sorts all records as one bucket (the bucket arrays would then
+/// be mostly empty slots).
+const SPARSE_HOURS_PER_RECORD: u64 = 8;
+
 fn merge_session_batches_inner(
     per_item: &[Vec<SessionRecord>],
     workers: usize,
@@ -359,13 +366,21 @@ fn merge_session_batches_inner(
     let Some(&fill) = per_item.iter().find_map(|batch| batch.first()) else {
         return Vec::new();
     };
-    let bucket_of = |s: &SessionRecord| (s.start.as_secs() / SECS_PER_HOUR) as usize;
-    let buckets = 1 + per_item
+    let hour_of = |s: &SessionRecord| s.start.as_secs() / SECS_PER_HOUR;
+    let hours = 1 + per_item
         .iter()
         .flatten()
-        .map(bucket_of)
+        .map(hour_of)
         .max()
         .expect("total > 0");
+    // The bucket arrays grow with the hour span, not the record count: a
+    // handful of records stamped far out (a start of 2^40 s spans 3·10^8
+    // hours) would allocate gigabytes of empty buckets. When hours
+    // outnumber records that far, everything sorts as one bucket — the
+    // same canonical order, since the order leads with the start time.
+    let sparse = hours > (total as u64).saturating_mul(SPARSE_HOURS_PER_RECORD);
+    let bucket_of = |s: &SessionRecord| if sparse { 0 } else { hour_of(s) as usize };
+    let buckets = if sparse { 1 } else { hours as usize };
 
     let mut cursors = vec![0usize; buckets];
     for batch in per_item {

@@ -87,7 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "users pinned at CCT = −1 never uploaded (lonely swarms / niche tastes);\n\
          the paper's full-scale shares are ≈41% (Valancius) and >70% (Baliga)\n\
-         carbon positive — scaled runs sit lower, same shape (EXPERIMENTS.md)."
+         carbon positive — scaled runs sit lower, same shape (see the scaling note\n\
+         on TraceConfig::catalogue_size)."
     );
     Ok(())
 }

@@ -103,7 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "note: at scale {scale} the catalogue head is truncated, so absolute savings sit\n\
          below the paper's full-scale 30%/18% headline; the ISP and model orderings and\n\
-         the day-to-day shape are scale-invariant (see EXPERIMENTS.md)."
+         the day-to-day shape are scale-invariant (see the scaling note on\n\
+         TraceConfig::catalogue_size)."
     );
     Ok(())
 }

@@ -109,6 +109,60 @@ fn simulator_reports_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn head_heavy_month_bit_identical_across_threads_and_schedules() {
+    use consume_local::sim::online::faults::batch_schedule;
+    use consume_local::trace::ContentId;
+
+    // Four of every five sessions re-pointed at item 0 under content-only
+    // swarms: one swarm holds most of the month, the shape the engine's
+    // cost-cut fan-out gives a chunk of its own.
+    let trace = shared_trace();
+    let mut records = trace.sessions().to_vec();
+    for (i, record) in records.iter_mut().enumerate() {
+        if i % 5 != 0 {
+            record.content = ContentId(0);
+        }
+    }
+    let store =
+        SessionStore::from_records(&records, trace.horizon_seconds(), trace.population().len());
+    let config = |threads| SimConfig {
+        threads,
+        policy: SwarmPolicy::content_only(),
+        ..Default::default()
+    };
+    let reference = Simulator::new(config(THREAD_COUNTS[0])).simulate(&store);
+    reference.check_conservation().unwrap();
+    let head = reference.swarms.iter().map(|s| s.sessions).max().unwrap();
+    assert!(
+        head * 2 > store.len() as u64,
+        "the head swarm must hold most sessions: {head} of {}",
+        store.len()
+    );
+    for &threads in &THREAD_COUNTS[1..] {
+        assert_eq!(
+            reference,
+            Simulator::new(config(threads)).simulate(&store),
+            "monolithic store at {threads} threads"
+        );
+    }
+    for (schedule, tick) in [("daily", 86_400), ("hourly", 3_600)] {
+        let batches = batch_schedule(&store, tick);
+        for &threads in &THREAD_COUNTS {
+            let sim = Simulator::new(config(threads));
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            for (batch, watermark) in &batches {
+                run.push_batch(batch, *watermark);
+            }
+            assert_eq!(
+                reference,
+                run.finish(),
+                "{schedule} batches at {threads} threads must match the monolithic store"
+            );
+        }
+    }
+}
+
+#[test]
 fn sweep_runner_identical_across_worker_counts() {
     let run_with = |workers: usize| {
         SweepRunner::new(SweepConfig {
