@@ -14,10 +14,11 @@
 //! `CCT > 0` is *carbon positive* — the credit exceeds the user's whole
 //! streaming footprint.
 //!
-//! **Erratum note** (DESIGN.md §3): solving `CCT = 0` gives
-//! `G* = l·γ_m/(PUE·γ_s − l·γ_m)`; the paper's printed expression swaps a
-//! factor but its asymptotic headline numbers (+18 % Valancius, +58 % Baliga
-//! at `G = 1`) match this corrected form exactly, and are unit-tested below.
+//! **Erratum note**: solving `CCT = 0` for `G` gives
+//! `G* = l·γ_m/(PUE·γ_s − l·γ_m)` (multiply out `PUE·γ_s·G = l·γ_m·(1+G)`).
+//! The paper's printed expression swaps a factor, but its asymptotic
+//! headline numbers (+18 % Valancius, +58 % Baliga at `G = 1`) match this
+//! corrected form exactly, and are unit-tested below.
 
 use serde::{Deserialize, Serialize};
 

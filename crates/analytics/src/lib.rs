@@ -13,9 +13,9 @@
 //! * [`offload`] — the fraction `G` of traffic offloadable to peers (Eq. 3):
 //!   `G = (q/β)·(c + e^(−c) − 1)/c`.
 //! * [`localisation`] — the expected per-window peer-traffic units localised
-//!   within each ISP layer, `f(p, c)` (Eq. 11, with the derivation corrected
-//!   as documented in `DESIGN.md` §3), and the expected per-bit P2P network
-//!   intensity `γ_p2p(c)`.
+//!   within each ISP layer, `f(p, c)` (Eq. 11, corrected for a typesetting
+//!   defect in the printed form; see the module's erratum note), and the
+//!   expected per-bit P2P network intensity `γ_p2p(c)`.
 //! * [`savings`] — the master equation for end-to-end savings `S(c)`
 //!   (Eq. 12) with its gross/penalty decomposition and asymptote.
 //! * [`credits`] — the carbon-credit transfer `CCT` (Eq. 13), the

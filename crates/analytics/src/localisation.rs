@@ -16,8 +16,9 @@
 //! f(1, c) = c − 1 + e^(−c)
 //! ```
 //!
-//! **Erratum note** (see DESIGN.md §3): the printed Eq. 11 contains an OCR /
-//! typesetting defect (it goes negative as `p → 0`). The expression above is
+//! **Erratum note**: the printed Eq. 11 contains an OCR / typesetting
+//! defect (it goes negative as `p → 0`, where no traffic can localise and
+//! `f` must be 0). The expression above is
 //! the correct expectation — verified against brute-force Poisson summation
 //! in this module's property tests — and it reproduces the paper's printed
 //! `p = 1` branch exactly.

@@ -10,7 +10,6 @@
 //! | `no-wall-clock` | wall-clock values never reach an output path outside benches/telemetry |
 //! | `hash-iter` | hash-table iteration order never reaches an output path |
 //! | `crate-header` | every crate root forbids `unsafe` and keeps the docs policy |
-//! | `deprecated-sim-entry` | internal code feeds the engine through `Simulator::simulate`, not the deprecated `run_*` wrappers |
 //! | `snapshot-format` | every snapshot byte flows through the `checkpoint` envelope codec — no raw byte I/O in the sim crate |
 //!
 //! A finding can be suppressed with an inline pragma on the same line or on
@@ -42,10 +41,6 @@ pub enum Rule {
     HashIter,
     /// Missing `#![forbid(unsafe_code)]` / missing-docs policy on a crate root.
     CrateHeader,
-    /// A call to a deprecated `Simulator::run_*` wrapper inside the
-    /// workspace (downstream users get the rustc deprecation warning; this
-    /// keeps our own code off the legacy entry points).
-    DeprecatedSimEntry,
     /// Raw byte-level codec calls (`write_all`, `read_exact`,
     /// `to_le_bytes`, `from_le_bytes`) in the sim crate outside
     /// `checkpoint.rs` — snapshot bytes must flow through the versioned,
@@ -64,7 +59,6 @@ impl Rule {
             Rule::NoWallClock => "no-wall-clock",
             Rule::HashIter => "hash-iter",
             Rule::CrateHeader => "crate-header",
-            Rule::DeprecatedSimEntry => "deprecated-sim-entry",
             Rule::SnapshotFormat => "snapshot-format",
             Rule::AllowPragma => "allow-pragma",
         }
@@ -79,7 +73,6 @@ impl Rule {
             "no-wall-clock" => Some(Rule::NoWallClock),
             "hash-iter" => Some(Rule::HashIter),
             "crate-header" => Some(Rule::CrateHeader),
-            "deprecated-sim-entry" => Some(Rule::DeprecatedSimEntry),
             "snapshot-format" => Some(Rule::SnapshotFormat),
             _ => None,
         }
@@ -161,18 +154,6 @@ const ITER_METHODS: &[&str] = &[
     "drain",
     "retain",
     "extract_if",
-];
-
-/// The deprecated `Simulator` entry points: thin wrappers kept for
-/// downstream callers mid-migration, off-limits to workspace code. The
-/// bare `run` wrapper is deliberately absent — `.run(` is far too common a
-/// shape (sweeps, builders) to match on method name alone; its callers are
-/// caught by the rustc deprecation warning under `-D warnings` instead.
-const DEPRECATED_SIM_ENTRIES: &[&str] = &[
-    "run_store",
-    "run_segmented",
-    "run_trace_stream",
-    "begin_segmented",
 ];
 
 /// Raw byte-codec calls that would let snapshot state bypass the
@@ -309,25 +290,6 @@ fn scan_tokens(lexed: &Lexed<'_>, class: &FileClass, emit: &mut dyn FnMut(u32, R
                     "`{}` outside the bench/timing allowlist — wall-clock values must \
                      never reach an output path (deterministic reports omit them); \
                      telemetry-only uses take `// lint:allow(no-wall-clock) <why>`",
-                    tok.text
-                ),
-            );
-        }
-        // deprecated-sim-entry: `<receiver> . run_store(...)` and friends.
-        // A method *call* needs the preceding `.`; definitions (`fn
-        // run_store`) and path mentions in docs don't match.
-        if DEPRECATED_SIM_ENTRIES.contains(&tok.text)
-            && i >= 1
-            && ts[i - 1].text == "."
-            && matches_seq(ts, i + 1, &["("])
-        {
-            emit(
-                tok.line,
-                Rule::DeprecatedSimEntry,
-                format!(
-                    "`.{}()` is a deprecated engine entry point — feed a `SessionSource` \
-                     to `Simulator::simulate` (or `Simulator::begin` for incremental \
-                     runs) instead",
                     tok.text
                 ),
             );

@@ -408,57 +408,6 @@ fn diagnostics_render_file_line_rule() {
     );
 }
 
-// ---------------------------------------------------------------- deprecated-sim-entry
-
-#[test]
-fn deprecated_sim_entry_call_violates() {
-    let src = r#"
-fn f() {
-    let report = sim.run_store(&store);
-    let seg = sim.run_segmented(&seg);
-    let streamed = sim.run_trace_stream(&mut stream);
-    let run = sim.begin_segmented(horizon, users);
-    let _ = (report, seg, streamed, run);
-}
-"#;
-    let diags = findings(src, &product());
-    assert_eq!(
-        rules_of(&diags),
-        [Rule::DeprecatedSimEntry; 4],
-        "every wrapper call is flagged: {diags:?}"
-    );
-    assert_eq!(diags[0].line, 3);
-    assert!(diags[0].message.contains("Simulator::simulate"));
-}
-
-#[test]
-fn deprecated_sim_entry_definitions_and_docs_are_clean() {
-    let src = r#"
-/// Docs may mention `run_store` and `Simulator::begin_segmented` freely.
-pub fn run_store(&self, store: &SessionStore) -> SimReport {
-    self.simulate(store)
-}
-pub fn begin_segmented(&self) {}
-fn f() {
-    let _ = "sim.run_store(&store) in a string";
-    let report = sim.simulate(&store);
-    let _ = report;
-}
-"#;
-    assert!(findings(src, &product()).is_empty());
-}
-
-#[test]
-fn deprecated_sim_entry_allow_pragma_suppresses() {
-    let src = r#"
-fn f() {
-    // lint:allow(deprecated-sim-entry) pins the wrapper's delegation
-    let _ = sim.run_store(&store);
-}
-"#;
-    assert!(findings(src, &product()).is_empty());
-}
-
 // ---------------------------------------------------------------- snapshot-format
 
 fn snapshot_guarded() -> FileClass {

@@ -10,6 +10,16 @@
 //! and the random matcher is seeded per swarm, so the report is
 //! bit-identical regardless of thread count.
 //!
+//! A swarm's windows come in **membership runs**: between two admissions
+//! or retirements the active set, and with it every matcher input, is
+//! fixed. The closest-first matcher still turns its uploader scan one step
+//! per window, so a run's outcomes cycle with a period of the lcm of its
+//! locality group sizes ([`Matcher::outcome_period`]). When a run draws no
+//! fault-injection coins (a lone peer, or full cooperation) and lasts at
+//! least two periods, the engine matches its first period and accounts the
+//! rest in closed form; a lone peer is the period-1 case. Every ledger and
+//! user total is a `u64` sum, so the bytes equal matching every window.
+//!
 //! The engine replays the **columnar** [`SessionStore`]: grouping reads the
 //! content/ISP/bitrate columns, each sub-swarm drives the store's sliding
 //! active-window cursor over the start-sorted columns, and only the columns
@@ -18,13 +28,11 @@
 //! Every way of feeding sessions to the engine goes through one entry
 //! point: [`Simulator::simulate`] consumes any [`SessionSource`] — a whole
 //! trace or prebuilt store in one batch, a [`SegmentedStore`] or generated
-//! [`SegmentStream`] day by day, or the
+//! [`SegmentStream`](consume_local_trace::SegmentStream) day by day, or the
 //! [`online`](crate::online) ingest channel as watermarked batches — and
 //! every source produces the **byte-identical** report (the resumable
 //! per-swarm window loops of [`SegmentedRun`] make batch boundaries
-//! invisible). The historical `run`/`run_store`/`run_segmented`/
-//! `run_trace_stream`/`begin_segmented` entry points survive as thin
-//! deprecated wrappers.
+//! invisible).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -33,9 +41,7 @@ use std::io::{Read, Write};
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Matcher, MatcherKind, Peer, SwarmKey, SwarmPolicy};
 use consume_local_topology::{ExchangeId, IspId, PopId, UserLocation};
-use consume_local_trace::{
-    device::BitrateClass, ContentId, SegmentStream, SegmentedStore, SessionStore, SimTime, Trace,
-};
+use consume_local_trace::{device::BitrateClass, ContentId, SegmentedStore, SessionStore, SimTime};
 
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
@@ -84,12 +90,13 @@ impl Simulator {
     /// Runs the simulation over any [`SessionSource`] and returns the full
     /// report — the one entry point behind which every feeding mode meets.
     ///
-    /// The report is **byte-identical across sources**: a whole [`Trace`],
-    /// its prebuilt [`SessionStore`], a per-day [`SegmentedStore`], a
-    /// generated [`SegmentStream`], or the online ingest channel
-    /// ([`online::channel`](crate::online::channel)) all produce the same
-    /// bytes for the same sessions, at any thread count and any batch
-    /// schedule. A caller replaying the same trace under many
+    /// The report is **byte-identical across sources**: a whole
+    /// [`Trace`](consume_local_trace::Trace), its prebuilt
+    /// [`SessionStore`], a per-day [`SegmentedStore`], a generated
+    /// [`SegmentStream`](consume_local_trace::SegmentStream), or the online
+    /// ingest channel ([`online::channel`](crate::online::channel)) all
+    /// produce the same bytes for the same sessions, at any thread count
+    /// and any batch schedule. A caller replaying the same trace under many
     /// configurations (the sweep runner) should build the store once and
     /// pass `&store`.
     ///
@@ -206,36 +213,6 @@ impl Simulator {
             max_user: 0,
             max_content: 0,
         }
-    }
-
-    /// Runs the simulation over a trace.
-    #[deprecated(note = "use `Simulator::simulate(&trace)`")]
-    pub fn run(&self, trace: &Trace) -> SimReport {
-        self.simulate(trace)
-    }
-
-    /// Runs the simulation over a prebuilt columnar session store.
-    #[deprecated(note = "use `Simulator::simulate(&store)`")]
-    pub fn run_store(&self, store: &SessionStore) -> SimReport {
-        self.simulate(store)
-    }
-
-    /// Runs the simulation over a [`SegmentedStore`], day by day.
-    #[deprecated(note = "use `Simulator::simulate(&segmented_store)`")]
-    pub fn run_segmented(&self, store: &SegmentedStore) -> SimReport {
-        self.simulate(store)
-    }
-
-    /// Generates and simulates in one bounded-memory pass.
-    #[deprecated(note = "use `Simulator::simulate(&mut stream)`")]
-    pub fn run_trace_stream(&self, stream: &mut SegmentStream<'_>) -> SimReport {
-        self.simulate(stream)
-    }
-
-    /// Begins an incremental segment-sequential run.
-    #[deprecated(note = "use `Simulator::begin`")]
-    pub fn begin_segmented(&self, horizon_secs: u64, population_len: usize) -> SegmentedRun {
-        self.begin(horizon_secs, population_len)
     }
 
     /// The reference row-based engine: identical pipeline, but the per-swarm
@@ -550,27 +527,6 @@ struct PendingSession {
     location: UserLocation,
 }
 
-/// The resumable per-swarm window loop: the columnar active set, the
-/// matcher (rotation/RNG state included), the current window boundary and
-/// the per-swarm accumulators, packaged so the loop can pause at a segment
-/// boundary and resume when the next day's sessions arrive.
-///
-/// A one-batch source drives it over the whole store in one
-/// [`SwarmSim::advance`] call; [`SegmentedRun`] drives the same machine one
-/// batch at a time. Because a pause/resume changes neither the active
-/// set, the matcher state, the cached membership totals nor the window
-/// boundary — and sessions unreached at a boundary are carried forward in
-/// start order — the two schedules produce byte-identical outputs (pinned
-/// by `tests/segmented.rs`).
-///
-/// The active set is fully columnar ([`ActiveSet`]): its peer/need/budget
-/// columns feed [`Matcher::match_window_into`] as slices directly, so a
-/// steady-state window performs **zero** allocation and zero copying of
-/// window inputs — the per-window work is the matcher itself, the user
-/// accumulation and the ledger. Membership-dependent totals (demand,
-/// preload, the CDN-ineligible remainder) are cached between membership
-/// changes, and the retire scan is skipped entirely while every active
-/// session's end lies beyond the boundary (`min_end` tracking).
 /// The matcher slot of a [`SwarmSim`]: a live machine owns its built
 /// matcher; a dormant (compacted) machine keeps only the matcher's
 /// checkpoint word — exactly what [`crate::checkpoint`] persists — and
@@ -598,6 +554,33 @@ impl MatcherSlot {
     }
 }
 
+/// The resumable per-swarm window loop: the columnar active set, the
+/// matcher (rotation/RNG state included), the current window boundary and
+/// the per-swarm accumulators, packaged so the loop can pause at a segment
+/// boundary and resume when the next day's sessions arrive.
+///
+/// A one-batch source drives it over the whole store in one
+/// [`SwarmSim::advance`] call; [`SegmentedRun`] drives the same machine one
+/// batch at a time. Because a pause/resume changes neither the active
+/// set, the matcher state, the cached membership totals nor the window
+/// boundary — and sessions unreached at a boundary are carried forward in
+/// start order — the two schedules produce byte-identical outputs (pinned
+/// by `tests/segmented.rs`).
+///
+/// The active set is fully columnar ([`ActiveSet`]): its peer/need/budget
+/// columns feed [`Matcher::match_window_into`] as slices directly, so a
+/// steady-state window performs **zero** allocation and zero copying of
+/// window inputs — the per-window work is the matcher itself, the user
+/// accumulation and the ledger. Membership-dependent totals (demand,
+/// preload, the CDN-ineligible remainder) are cached between membership
+/// changes, and the retire scan is skipped entirely while every active
+/// session's end lies beyond the boundary (`min_end` tracking).
+///
+/// Most windows are never matched at all: a membership run that draws no
+/// fault-injection coins and lasts two or more outcome periods is matched
+/// for one period and accounted in closed form for the rest
+/// ([`SwarmSim::start_run`]). The cycle's ledgers and weighted uploads are
+/// scratch, released with the rest when the machine goes quiescent.
 struct SwarmSim {
     matcher: MatcherSlot,
     /// The matcher's key-derived seed (`swarm_seed` of the run seed and the
@@ -640,6 +623,12 @@ struct SwarmSim {
     /// defecting receiver's demand flakes get their zeroed needs here, so
     /// the shared column (and the cached membership sums) stay untouched.
     needs_flaked: Vec<u64>,
+    /// Replay scratch for [`SwarmSim::start_run`]: the ledger of each
+    /// window of one outcome cycle, in rotation order.
+    cycle_ledgers: Vec<ByteLedger>,
+    /// Replay scratch: per active peer, the uploads of the cycle's windows
+    /// weighted by how often the replayed windows repeat each one.
+    cycle_uploads: Vec<u64>,
     /// Fault-injection losses accumulated over the swarm's lifetime.
     degradation: Degradation,
 }
@@ -675,6 +664,8 @@ impl SwarmSim {
             defect_seed: swarm_seed(sim.config.seed ^ DEFECT_STREAM_TAG, &key),
             recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, &key),
             needs_flaked: Vec::new(),
+            cycle_ledgers: Vec::new(),
+            cycle_uploads: Vec::new(),
             degradation: Degradation::default(),
         }
     }
@@ -732,6 +723,13 @@ impl SwarmSim {
     /// the supplied sessions cover, and pausing at `limit` with unreached
     /// sessions moved into the carry buffer. Pass `limit = u64::MAX` for a
     /// single full-horizon pass.
+    ///
+    /// The first window of each membership run — after an admission or a
+    /// retirement, and the first window of every call, since a batch
+    /// boundary pauses a run — sizes the run up to the next membership
+    /// event or `limit` and, when the run draws no coins (one peer, or
+    /// `cooperation_rate >= 1.0`), hands it to [`SwarmSim::start_run`] for
+    /// replay. Every other window is matched one by one.
     fn advance(
         &mut self,
         sim: &Simulator,
@@ -761,6 +759,9 @@ impl SwarmSim {
         // The store's sliding cursor admits each session exactly once as
         // the window boundary crosses its start.
         let mut cursor = store.cursor(indices);
+        // A batch boundary pauses a membership run, so the first window of
+        // every call starts one (it may continue where the last call left).
+        let mut run_start = true;
 
         loop {
             let t = self.t.as_secs();
@@ -790,13 +791,13 @@ impl SwarmSim {
             }
             cursor.admit_until(t, |i| self.admit(sim, pending_of(i)));
             self.sums_stale |= self.active.len() != len_before_admit;
+            let next_start = self
+                .carry
+                .front()
+                .map(|p| p.start)
+                .or_else(|| cursor.next_start_secs());
             if self.active.is_empty() {
-                let next = self
-                    .carry
-                    .front()
-                    .map(|p| p.start)
-                    .or_else(|| cursor.next_start_secs());
-                let Some(next_start) = next else {
+                let Some(next_start) = next_start else {
                     // Nothing active and nothing queued: paused (more
                     // segments may follow) or finished.
                     return;
@@ -808,223 +809,255 @@ impl SwarmSim {
                 continue;
             }
 
-            // Solo fast path. A lone peer is its windows' fetcher, so until
-            // the next membership event (its own end, the next admission or
-            // the horizon) every window is identical and transfers nothing:
-            // account the whole run in closed form — per-day ledger chunks,
-            // one watched-bytes bump — and advance the matcher's
-            // window-indexed state in bulk. Solo windows dominate tail
-            // swarms (> 80 % of all windows at the medium preset), which is
-            // what makes this jump, not the per-window micro-costs, the
-            // engine's biggest lever.
-            if self.active.len() == 1 {
-                let mut upper = self.active.ends[0].min(horizon);
-                let next = self
-                    .carry
-                    .front()
-                    .map(|p| p.start)
-                    .or_else(|| cursor.next_start_secs());
-                if let Some(next_start) = next {
-                    // The joiner lands on the first boundary at or after its
-                    // start; batch only the windows strictly before it.
+            // A membership change starts a run. Its windows see one active
+            // set, so with a lone peer (no coins to draw) or full
+            // cooperation (no coins at all) they differ only in the
+            // matcher's rotation, and the run is replayable.
+            run_start |= self.sums_stale;
+            if run_start && (self.active.len() == 1 || sim.config.cooperation_rate >= 1.0) {
+                // The run lasts until the next membership event — the
+                // earliest end, the boundary at or after the next start,
+                // the horizon — or the batch limit, whichever comes first.
+                let mut upper = self.active.min_end.min(horizon);
+                if let Some(next_start) = next_start {
                     upper = upper.min(align_up(next_start, dt));
                 }
-                // Batching past `limit` would strand the next segment's
-                // joiners, so the run is also capped at the boundary — the
-                // resumed pass continues it, and `note_solo_windows` is
-                // additive, so the split leaves every outcome unchanged.
                 let k = (upper - t).div_ceil(dt).min((limit - t).div_ceil(dt));
-                debug_assert!(k >= 1, "the current window is always batchable");
-                self.matcher.live_mut().note_solo_windows(k);
-
-                let full_demand = self.active.full_demands[0];
-                let demand = self.active.demands[0];
-                let preload = self.active.preloads[0];
-                self.user_acc[self.active.user_slots[0] as usize].0 += full_demand * k;
-
-                // Chunk the run by the day each window starts in (windows
-                // straddling midnight belong to their start's day, exactly
-                // as the per-window path assigns them).
-                let spd = consume_local_trace::time::SECS_PER_DAY;
-                let cached = self.cached;
-                let mut tw = t;
-                let mut remaining = k;
-                while remaining > 0 {
-                    let day = (tw / spd) as u32;
-                    let day_end = (u64::from(day) + 1) * spd;
-                    let in_day = ((day_end - tw).div_ceil(dt)).min(remaining);
-                    let mut chunk_ledger = ByteLedger {
-                        demand_bytes: full_demand * in_day,
-                        server_bytes: if cached { 0 } else { demand * in_day },
-                        peer_bytes_by_layer: [0; 3],
-                        cache_bytes: if cached { full_demand * in_day } else { 0 },
-                        preload_bytes: if cached { 0 } else { preload * in_day },
-                        active_windows: in_day,
-                        peer_windows: in_day,
-                    };
-                    debug_assert!(chunk_ledger.is_conserved(), "solo chunk must conserve");
-                    self.ledger.merge(&chunk_ledger);
-                    match self.daily.last_mut() {
-                        Some((d, ledger)) if *d == day => ledger.merge(&chunk_ledger),
-                        _ => self.daily.push((day, std::mem::take(&mut chunk_ledger))),
-                    }
-                    tw += in_day * dt;
-                    remaining -= in_day;
-                }
-                self.t = SimTime(t + k * dt);
-                continue;
-            }
-
-            // Peer 0 (earliest joiner — the columns preserve arrival order)
-            // is the fresh fetcher. The CDN-side "ineligible" remainder
-            // carries the fetcher's full in-swarm demand plus every peer's
-            // demand − need. An unchanged membership also means an unchanged
-            // peer sequence, which the matcher turns into a reused locality
-            // grouping (no per-window sort in stable windows).
-            let peers_unchanged = !self.sums_stale;
-            if self.sums_stale {
-                self.preload_total = self.active.preloads.iter().sum();
-                self.swarm_demand = self.active.demands.iter().sum();
-                let tail_needs: u64 = self.active.needs[1..].iter().sum();
-                self.ineligible = self.swarm_demand - tail_needs;
-                self.sums_stale = false;
-            }
-
-            // Receiver-side fault injection: a defecting user's *demand* can
-            // flake for a window (same counter-hash construction as uploader
-            // defection, its own stream tag). A flaking receiver accepts no
-            // peer bytes this window — its need is withheld from matching
-            // and the deferred volume is served by the CDN/cache fallback
-            // instead, accounted exactly in `failed_demand_bytes`. The
-            // shared needs column is never mutated (copy-on-flake scratch),
-            // so the cached membership sums stay valid.
-            let cooperation = sim.config.cooperation_rate;
-            let mut failed_demand = 0u64;
-            let mut flaked = false;
-            if cooperation < 1.0 {
-                for k in 1..self.active.len() {
-                    let need = self.active.needs[k];
-                    if need > 0
-                        && defects(
-                            self.recv_defect_seed,
-                            self.users[self.active.user_slots[k] as usize],
-                            t,
-                            cooperation,
-                        )
-                    {
-                        if !flaked {
-                            self.needs_flaked.clear();
-                            self.needs_flaked.extend_from_slice(&self.active.needs);
-                            flaked = true;
-                        }
-                        self.needs_flaked[k] = 0;
-                        failed_demand += need;
-                    }
-                }
-            }
-            let needs: &[u64] = if flaked {
-                &self.needs_flaked
+                debug_assert!(k >= 1, "the current window is always in the run");
+                let stepped = self.start_run(sim, t, k);
+                self.t = SimTime(t + stepped * dt);
             } else {
-                &self.active.needs
-            };
-            self.matcher.live_mut().match_window_into_hinted(
-                &self.active.peers,
-                needs,
-                &self.active.budgets,
-                0,
-                peers_unchanged,
-                &mut self.outcome,
-            );
+                let window_ledger = self.step_window(sim, t);
+                self.book(t, window_ledger);
+                self.t = self.t + dt;
+            }
+            run_start = false;
+        }
+    }
 
-            // Fault injection: a matched uploader may silently defect this
-            // window (deterministic hash of swarm/user/window — see
-            // `defects`). Its transfers fail, its upload credit is void, and
-            // the receivers' bytes fall back to the CDN/cache. The user
-            // accumulation pass therefore runs *before* the ledger so the
-            // failed volume can be re-routed. The matcher's outcome itself
-            // is never mutated — it is reused as the next window's hint.
-            let mut failed_total = 0u64;
-            let mut failed_by_layer = [0u64; 3];
-            for (k, (&slot, &full_demand)) in self
-                .active
-                .user_slots
-                .iter()
-                .zip(&self.active.full_demands)
-                .enumerate()
-            {
-                let acc = &mut self.user_acc[slot as usize];
-                // Users watch their full demand (preloaded bytes included).
-                acc.0 += full_demand;
-                let uploaded = self.outcome.per_peer[k].uploaded;
-                if uploaded > 0
-                    && defects(self.defect_seed, self.users[slot as usize], t, cooperation)
+    /// Matches the first window of a replayable membership run of `k`
+    /// windows starting at `t`, and returns how many windows it accounted.
+    ///
+    /// When the matcher reports an outcome period `P` with `k ≥ 2P`, the
+    /// run's outcomes cycle through its first `P` windows: those are
+    /// matched as usual and the other `k − P` accounted in closed form —
+    /// each day chunk's ledger is `Σ_r count_r × ledger_r` over the cycle's
+    /// rotations, each user's watched bytes grow by its full demand per
+    /// window and its uploads by `Σ_r count_r × upload_r` — before the
+    /// matcher skips them. Every total is a commutative `u64` sum, so the
+    /// bytes equal `k` matched windows exactly. Otherwise only the first
+    /// window is matched.
+    fn start_run(&mut self, sim: &Simulator, t: u64, k: u64) -> u64 {
+        let dt = sim.config.window_secs;
+        let first = self.step_window(sim, t);
+        self.book(t, first);
+        let period = match self.matcher.live_mut().outcome_period() {
+            Some(p) if p <= k / 2 => p,
+            _ => return 1,
+        };
+        let replayed = k - period;
+        // Replayed window `j` repeats rotation `j % period`, so among the
+        // first `j` replayed windows rotation `r` recurs this often.
+        let recurrences = |j: u64, r: u64| j / period + u64::from(r < j % period);
+        self.cycle_ledgers.clear();
+        self.cycle_ledgers.push(first);
+        self.cycle_uploads.clear();
+        self.cycle_uploads.resize(self.active.len(), 0);
+        for r in 0..period {
+            if r > 0 {
+                let window_ledger = self.step_window(sim, t + r * dt);
+                self.book(t + r * dt, window_ledger);
+                self.cycle_ledgers.push(window_ledger);
+            }
+            // Full cooperation (or a lone peer) never voids an upload.
+            let count = recurrences(replayed, r);
+            for (acc, p) in self.cycle_uploads.iter_mut().zip(&self.outcome.per_peer) {
+                *acc += count * p.uploaded;
+            }
+        }
+        for ((&slot, &full_demand), &uploaded) in self
+            .active
+            .user_slots
+            .iter()
+            .zip(&self.active.full_demands)
+            .zip(&self.cycle_uploads)
+        {
+            let acc = &mut self.user_acc[slot as usize];
+            acc.0 += full_demand * replayed;
+            acc.1 += uploaded;
+        }
+
+        // Chunk the replayed windows by the day each starts in (windows
+        // straddling midnight belong to their start's day, exactly as the
+        // per-window path books them).
+        let spd = consume_local_trace::time::SECS_PER_DAY;
+        let mut j = 0u64;
+        while j < replayed {
+            let tw = t + (period + j) * dt;
+            let day_end = (tw / spd + 1) * spd;
+            let in_day = (day_end - tw).div_ceil(dt).min(replayed - j);
+            let mut chunk = ByteLedger::new();
+            for (r, ledger) in (0..).zip(&self.cycle_ledgers) {
+                chunk.merge_times(ledger, recurrences(j + in_day, r) - recurrences(j, r));
+            }
+            self.book(tw, chunk);
+            j += in_day;
+        }
+        self.matcher.live_mut().skip_windows(replayed);
+        k
+    }
+
+    /// Matches window `t` of the current active set and accounts it into
+    /// the per-user accumulators and the degradation tally, returning the
+    /// window's ledger for [`SwarmSim::book`].
+    fn step_window(&mut self, sim: &Simulator, t: u64) -> ByteLedger {
+        // Peer 0 (earliest joiner — the columns preserve arrival order)
+        // is the fresh fetcher. The CDN-side "ineligible" remainder
+        // carries the fetcher's full in-swarm demand plus every peer's
+        // demand − need. An unchanged membership also means an unchanged
+        // peer sequence, which the matcher turns into a reused locality
+        // grouping (no per-window sort in stable windows).
+        let peers_unchanged = !self.sums_stale;
+        if self.sums_stale {
+            self.preload_total = self.active.preloads.iter().sum();
+            self.swarm_demand = self.active.demands.iter().sum();
+            let tail_needs: u64 = self.active.needs[1..].iter().sum();
+            self.ineligible = self.swarm_demand - tail_needs;
+            self.sums_stale = false;
+        }
+
+        // Receiver-side fault injection: a defecting user's *demand* can
+        // flake for a window (same counter-hash construction as uploader
+        // defection, its own stream tag). A flaking receiver accepts no
+        // peer bytes this window — its need is withheld from matching
+        // and the deferred volume is served by the CDN/cache fallback
+        // instead, accounted exactly in `failed_demand_bytes`. The
+        // shared needs column is never mutated (copy-on-flake scratch),
+        // so the cached membership sums stay valid.
+        let cooperation = sim.config.cooperation_rate;
+        let mut failed_demand = 0u64;
+        let mut flaked = false;
+        if cooperation < 1.0 {
+            for k in 1..self.active.len() {
+                let need = self.active.needs[k];
+                if need > 0
+                    && defects(
+                        self.recv_defect_seed,
+                        self.users[self.active.user_slots[k] as usize],
+                        t,
+                        cooperation,
+                    )
                 {
-                    failed_total += uploaded;
-                    for (f, u) in failed_by_layer
-                        .iter_mut()
-                        .zip(self.outcome.per_peer[k].uploaded_by_layer)
-                    {
-                        *f += u;
+                    if !flaked {
+                        self.needs_flaked.clear();
+                        self.needs_flaked.extend_from_slice(&self.active.needs);
+                        flaked = true;
                     }
-                } else {
-                    acc.1 += uploaded;
+                    self.needs_flaked[k] = 0;
+                    failed_demand += need;
                 }
             }
-            if failed_total > 0 || failed_demand > 0 {
-                self.degradation.merge(&Degradation {
-                    failed_transfer_bytes: failed_total,
-                    failed_by_layer,
-                    defection_windows: 1,
-                    failed_demand_bytes: failed_demand,
-                });
-            }
+        }
+        let needs: &[u64] = if flaked {
+            &self.needs_flaked
+        } else {
+            &self.active.needs
+        };
+        self.matcher.live_mut().match_window_into_hinted(
+            &self.active.peers,
+            needs,
+            &self.active.budgets,
+            0,
+            peers_unchanged,
+            &mut self.outcome,
+        );
 
-            // Account the window. The CDN-side fallback carries the
-            // ineligible remainder, the demand flaking receivers withheld
-            // from matching, the matcher's residual unmet needs and the
-            // bytes defectors failed to deliver; with an edge cache holding
-            // this item, that fallback is served at the exchange instead of
-            // the CDN.
-            let demand_total = self.swarm_demand + self.preload_total;
-            let fallback =
-                self.ineligible + failed_demand + self.outcome.server_bytes + failed_total;
-            let (server_total, cache_total, preload_srv, preload_cache) = if self.cached {
-                (0, fallback, 0, self.preload_total)
+        // Fault injection: a matched uploader may silently defect this
+        // window (deterministic hash of swarm/user/window — see
+        // `defects`). Its transfers fail, its upload credit is void, and
+        // the receivers' bytes fall back to the CDN/cache. The user
+        // accumulation pass therefore runs *before* the ledger so the
+        // failed volume can be re-routed. The matcher's outcome itself
+        // is never mutated: a replayed run reads its per-peer uploads.
+        let mut failed_total = 0u64;
+        let mut failed_by_layer = [0u64; 3];
+        for (k, (&slot, &full_demand)) in self
+            .active
+            .user_slots
+            .iter()
+            .zip(&self.active.full_demands)
+            .enumerate()
+        {
+            let acc = &mut self.user_acc[slot as usize];
+            // Users watch their full demand (preloaded bytes included).
+            acc.0 += full_demand;
+            let uploaded = self.outcome.per_peer[k].uploaded;
+            if uploaded > 0 && defects(self.defect_seed, self.users[slot as usize], t, cooperation)
+            {
+                failed_total += uploaded;
+                for (f, u) in failed_by_layer
+                    .iter_mut()
+                    .zip(self.outcome.per_peer[k].uploaded_by_layer)
+                {
+                    *f += u;
+                }
             } else {
-                (fallback, 0, self.preload_total, 0)
-            };
-
-            let mut peer_bytes_by_layer = self.outcome.peer_bytes_by_layer;
-            for (p, f) in peer_bytes_by_layer.iter_mut().zip(failed_by_layer) {
-                *p -= f;
+                acc.1 += uploaded;
             }
-            let mut window_ledger = ByteLedger {
-                demand_bytes: demand_total,
-                server_bytes: server_total + preload_srv,
-                peer_bytes_by_layer,
-                cache_bytes: cache_total + preload_cache,
-                preload_bytes: 0,
-                active_windows: 1,
-                peer_windows: self.active.len() as u64,
-            };
-            // Preload bytes are tracked in their own class when not cached.
-            if !self.cached {
-                window_ledger.server_bytes -= preload_srv;
-                window_ledger.preload_bytes = preload_srv;
-            }
-            debug_assert!(window_ledger.is_conserved(), "window bytes must conserve");
+        }
+        if failed_total > 0 || failed_demand > 0 {
+            self.degradation.merge(&Degradation {
+                failed_transfer_bytes: failed_total,
+                failed_by_layer,
+                defection_windows: 1,
+                failed_demand_bytes: failed_demand,
+            });
+        }
 
-            self.ledger.merge(&window_ledger);
-            let day = (t / consume_local_trace::time::SECS_PER_DAY) as u32;
-            match self.daily.last_mut() {
-                Some((d, ledger)) if *d == day => ledger.merge(&window_ledger),
-                _ => {
-                    // Ledger moved into the vec; reuse the window value.
-                    self.daily.push((day, std::mem::take(&mut window_ledger)));
-                }
-            }
+        // Account the window. The CDN-side fallback carries the
+        // ineligible remainder, the demand flaking receivers withheld
+        // from matching, the matcher's residual unmet needs and the
+        // bytes defectors failed to deliver; with an edge cache holding
+        // this item, that fallback is served at the exchange instead of
+        // the CDN.
+        let demand_total = self.swarm_demand + self.preload_total;
+        let fallback = self.ineligible + failed_demand + self.outcome.server_bytes + failed_total;
+        let (server_total, cache_total, preload_srv, preload_cache) = if self.cached {
+            (0, fallback, 0, self.preload_total)
+        } else {
+            (fallback, 0, self.preload_total, 0)
+        };
 
-            self.t = self.t + dt;
+        let mut peer_bytes_by_layer = self.outcome.peer_bytes_by_layer;
+        for (p, f) in peer_bytes_by_layer.iter_mut().zip(failed_by_layer) {
+            *p -= f;
+        }
+        let mut window_ledger = ByteLedger {
+            demand_bytes: demand_total,
+            server_bytes: server_total + preload_srv,
+            peer_bytes_by_layer,
+            cache_bytes: cache_total + preload_cache,
+            preload_bytes: 0,
+            active_windows: 1,
+            peer_windows: self.active.len() as u64,
+        };
+        // Preload bytes are tracked in their own class when not cached.
+        if !self.cached {
+            window_ledger.server_bytes -= preload_srv;
+            window_ledger.preload_bytes = preload_srv;
+        }
+        debug_assert!(window_ledger.is_conserved(), "window bytes must conserve");
+        window_ledger
+    }
+
+    /// Books a ledger of windows starting in the day of `t` into the swarm
+    /// total and the day-sorted daily list.
+    fn book(&mut self, t: u64, ledger: ByteLedger) {
+        self.ledger.merge(&ledger);
+        let day = (t / consume_local_trace::time::SECS_PER_DAY) as u32;
+        match self.daily.last_mut() {
+            Some((d, daily)) if *d == day => daily.merge(&ledger),
+            _ => self.daily.push((day, ledger)),
         }
     }
 
@@ -1087,6 +1120,8 @@ impl SwarmSim {
         self.carry = VecDeque::new();
         self.outcome = MatchOutcome::default();
         self.needs_flaked = Vec::new();
+        self.cycle_ledgers = Vec::new();
+        self.cycle_uploads = Vec::new();
     }
 
     /// Compacts a quiescent machine to its dormant form: scratch released,
@@ -2142,6 +2177,8 @@ fn take_swarm(
         defect_seed: swarm_seed(sim.config.seed ^ DEFECT_STREAM_TAG, key),
         recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, key),
         needs_flaked: Vec::new(),
+        cycle_ledgers: Vec::new(),
+        cycle_uploads: Vec::new(),
         degradation,
     })
 }
@@ -2549,7 +2586,9 @@ mod tests {
     use consume_local_swarm::MatcherKind;
     use consume_local_topology::{ExchangeId, IspId, IspTopology};
     use consume_local_trace::device::DeviceClass;
-    use consume_local_trace::{ContentId, SessionRecord, TraceConfig, TraceGenerator, UserId};
+    use consume_local_trace::{
+        ContentId, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
+    };
 
     fn tiny_trace() -> Trace {
         TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 11)
@@ -3045,6 +3084,96 @@ mod tests {
                 let rows = sim.run_store_rows(&store);
                 prop_assert_eq!(soa, rows);
             }
+
+            /// Replayed membership runs against the row oracle, which
+            /// matches every window: long sessions on a world of 2 items
+            /// and 4 exchanges give multi-peer runs that span many upload
+            /// rotation cycles and cross midnight, and a random batch
+            /// schedule pauses runs mid-cycle. Partial participation and
+            /// unsplit swarms (mixed ISPs and bitrates) make the cycle's
+            /// window ledgers differ by rotation, not only its uploads.
+            #[test]
+            fn prop_replayed_runs_match_row_oracle_under_any_batch_schedule(
+                records in long_sessions_strategy(),
+                cuts in proptest::collection::vec(0u64..LONG_HORIZON, 0..8),
+                window_secs in 10u64..120,
+                cooperation_pct in 50u64..100,
+                participation_pct in 30u64..=100,
+                matcher_pick in 0u8..2,
+                split in 0u8..2,
+            ) {
+                let store = SessionStore::from_records(&records, LONG_HORIZON, 12);
+                let mut watermarks = cuts;
+                watermarks.sort_unstable();
+                watermarks.push(LONG_HORIZON);
+                for cooperation_rate in [1.0, cooperation_pct as f64 / 100.0] {
+                    for threads in [1, 2] {
+                        let sim = Simulator::new(SimConfig {
+                            matcher: if matcher_pick == 1 {
+                                MatcherKind::Random
+                            } else {
+                                MatcherKind::Hierarchical
+                            },
+                            window_secs,
+                            cooperation_rate,
+                            participation_rate: participation_pct as f64 / 100.0,
+                            policy: SwarmPolicy {
+                                split_by_isp: split == 1,
+                                split_by_bitrate: split == 1,
+                            },
+                            threads,
+                            ..Default::default()
+                        });
+                        let mut run = sim.begin(LONG_HORIZON, 12);
+                        let mut from = 0;
+                        for &watermark in &watermarks {
+                            let batch: Vec<SessionRecord> = records
+                                .iter()
+                                .filter(|r| (from..watermark).contains(&r.start.as_secs()))
+                                .copied()
+                                .collect();
+                            run.push_batch(
+                                &SessionStore::from_records(&batch, LONG_HORIZON, 12),
+                                watermark,
+                            );
+                            from = watermark;
+                        }
+                        prop_assert_eq!(run.finish(), sim.run_store_rows(&store));
+                    }
+                }
+            }
+        }
+
+        /// Horizon of [`long_sessions_strategy`]: 3 days, so a session
+        /// starting late on day 2 still fits a whole day.
+        const LONG_HORIZON: u64 = 3 * 86_400;
+
+        /// Long sessions (1 h to 1 day) by 12 users on 2 items, across 2
+        /// ISPs and 4 exchanges in 2 PoPs: swarms hold several peers for
+        /// hours at a stretch.
+        fn long_sessions_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+            let record = (
+                0u32..12,          // user
+                0u32..2,           // content
+                0u64..2 * 86_400,  // start
+                3_600u32..=86_400, // duration
+                0usize..5,         // device (MIX index)
+                0u8..2,            // isp
+                0u32..4,           // exchange
+            )
+                .prop_map(|(user, content, start, duration, device, isp, exchange)| {
+                    let topo = IspTopology::new(4, 2).unwrap();
+                    SessionRecord {
+                        user: UserId(user),
+                        content: ContentId(content),
+                        start: SimTime(start),
+                        duration_secs: duration,
+                        device: DeviceClass::MIX[device].0,
+                        isp: IspId(isp),
+                        location: topo.location_of(ExchangeId(exchange)),
+                    }
+                });
+            proptest::collection::vec(record, 1..20)
         }
     }
 
@@ -3246,33 +3375,6 @@ mod tests {
             report,
             "warnings are batch-schedule invariant"
         );
-    }
-
-    /// The historical entry points must remain exact synonyms of
-    /// `simulate` for downstream callers mid-migration.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_simulate() {
-        let trace = tiny_trace();
-        let store = SessionStore::from_trace(&trace);
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
-        let sim = Simulator::new(SimConfig::default());
-        let expect = sim.simulate(&store);
-        assert_eq!(sim.run(&trace), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_store(&store), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_segmented(&seg), expect);
-        let generator = TraceGenerator::new(trace.config().clone(), 11);
-        let mut stream = generator.segments().unwrap();
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        assert_eq!(sim.run_trace_stream(&mut stream), expect);
-        // lint:allow(deprecated-sim-entry) pins the wrappers' delegation
-        let mut run = sim.begin_segmented(seg.horizon_secs(), seg.population_len());
-        for segment in seg.segments() {
-            run.push_segment(segment);
-        }
-        assert_eq!(run.finish(), expect);
     }
 
     /// A snapshot taken mid-run must restore into a run that finishes

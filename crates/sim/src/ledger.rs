@@ -62,6 +62,24 @@ impl ByteLedger {
         self.peer_windows += other.peer_windows;
     }
 
+    /// Adds `times` copies of another ledger into this one — the closed
+    /// form of `times` [`ByteLedger::merge`] calls.
+    pub(crate) fn merge_times(&mut self, other: &ByteLedger, times: u64) {
+        self.demand_bytes += other.demand_bytes * times;
+        self.server_bytes += other.server_bytes * times;
+        for (a, b) in self
+            .peer_bytes_by_layer
+            .iter_mut()
+            .zip(other.peer_bytes_by_layer)
+        {
+            *a += b * times;
+        }
+        self.cache_bytes += other.cache_bytes * times;
+        self.preload_bytes += other.preload_bytes * times;
+        self.active_windows += other.active_windows * times;
+        self.peer_windows += other.peer_windows * times;
+    }
+
     /// The share of demand served by peers (the empirical `G`).
     pub fn offload_share(&self) -> f64 {
         if self.demand_bytes == 0 {

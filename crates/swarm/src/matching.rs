@@ -12,6 +12,11 @@
 //! first, then within the same PoP, then across the core. [`RandomMatcher`]
 //! ignores distance (the ablation baseline) but accounts transfers at the
 //! true layer of each matched pair.
+//!
+//! A matcher may declare that its last outcome repeats with a period for
+//! unchanged inputs ([`Matcher::outcome_period`]); engines then match one
+//! period of a stable swarm's windows and skip the rest
+//! ([`Matcher::skip_windows`]).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -147,19 +152,30 @@ pub trait Matcher {
         self.match_window_into(peers, needs, budgets, fetcher, out);
     }
 
-    /// Advances per-window matcher state past `count` consecutive
-    /// **single-peer** windows without matching them.
+    /// The number of windows after which the last call's outcome repeats,
+    /// provided the inputs (peers, needs, budgets, fetcher) stay unchanged;
+    /// `None` when no such period is known, or before the first call.
     ///
-    /// A lone peer is its window's fetcher, so such a window can produce no
-    /// transfers and a trivial outcome — engines account runs of them in
-    /// bulk (they dominate tail swarms) and call this instead of `count`
-    /// single-peer [`Matcher::match_window_into`] calls. Implementations
-    /// must leave any window-indexed state (upload rotation, RNG
-    /// consumption) **exactly** where those `count` calls would have: the
-    /// default no-op is correct for matchers whose single-peer windows touch
-    /// no state (e.g. [`RandomMatcher`], whose length-≤1 shuffles draw
-    /// nothing); [`HierarchicalMatcher`] advances its rotation counter.
-    fn note_solo_windows(&mut self, count: u64) {
+    /// Engines use it to replay a stable membership run: they match one
+    /// period of windows, multiply those outcomes out over the rest of the
+    /// run and call [`Matcher::skip_windows`] for the windows they did not
+    /// match. The default `None` opts a matcher out of replay.
+    fn outcome_period(&self) -> Option<u64> {
+        None
+    }
+
+    /// Advances per-window matcher state past `count` windows that repeat
+    /// the last [`Matcher::outcome_period`] calls — the same inputs, the
+    /// cycle continuing where the last call left it — without matching
+    /// them.
+    ///
+    /// Implementations must leave any window-indexed state (upload
+    /// rotation, RNG consumption) **exactly** where those `count` calls
+    /// would have. The default no-op suits matchers whose periodic calls
+    /// touch no state (e.g. [`RandomMatcher`], whose only periodic calls
+    /// are single-peer ones, and length-≤1 shuffles draw nothing);
+    /// [`HierarchicalMatcher`] advances its rotation counter.
+    fn skip_windows(&mut self, count: u64) {
         let _ = count;
     }
 
@@ -259,6 +275,12 @@ pub fn uniform_window(n: usize, demand: u64, budget: u64) -> (Vec<u64>, Vec<u64>
 /// ([`Matcher::match_window_into_hinted`]) the matcher reuses the previous
 /// window's grouping outright — in a stable swarm the per-window
 /// `O(L log L)` sort disappears and only the linear drain remains.
+///
+/// A window reads the rotation only through its residue modulo each
+/// drained group's size, so for unchanged inputs the outcome repeats after
+/// the lcm of the group sizes ([`Matcher::outcome_period`]): two peers
+/// sharing an exchange alternate with period 2, and [`Matcher::skip_windows`]
+/// lets an engine account the repeats without matching them.
 #[derive(Debug, Clone, Default)]
 pub struct HierarchicalMatcher {
     windows_matched: u64,
@@ -280,6 +302,43 @@ impl HierarchicalMatcher {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The runs of `order` whose bucket keys agree above `shift` bits: one
+/// range per locality group (32: exchange point, 64: PoP).
+fn group_runs<'a>(
+    order: &'a [u32],
+    keys: &'a [u128],
+    shift: u32,
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+    let group_of = move |i: usize| keys[order[i] as usize] >> shift;
+    let mut start = 0usize;
+    std::iter::from_fn(move || {
+        if start >= order.len() {
+            return None;
+        }
+        let group = group_of(start);
+        let mut end = start + 1;
+        while end < order.len() && group_of(end) == group {
+            end += 1;
+        }
+        let run = start..end;
+        start = end;
+        Some(run)
+    })
+}
+
+/// The least common multiple of `period` and a group of `size` peers; a
+/// group of fewer than two never reads the rotation. `None` on overflow.
+fn lcm(period: u64, size: u64) -> Option<u64> {
+    if size < 2 {
+        return Some(period);
+    }
+    let (mut a, mut b) = (period, size);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    (period / a).checked_mul(size)
 }
 
 /// Bucket key: ISP, then parent PoP, then exchange, then peer index. Equal
@@ -352,10 +411,27 @@ impl Matcher for HierarchicalMatcher {
         state.finish();
     }
 
-    fn note_solo_windows(&mut self, count: u64) {
-        // The rotation is the only per-window state; a single-peer window's
-        // drains never read it (no group reaches two members), so advancing
-        // the counter is all `count` real calls would have done.
+    fn outcome_period(&self) -> Option<u64> {
+        // A window reads the rotation only as `rotation % len` for each
+        // drained group: exchange and PoP runs of two or more, and the
+        // core group of all peers. The outcome is a function of those
+        // residues, so it repeats after the lcm of the group sizes.
+        if !self.grouping_built {
+            return None;
+        }
+        let mut period = lcm(1, self.order.len() as u64)?;
+        for shift in [32, 64] {
+            for run in group_runs(&self.order, &self.keys, shift) {
+                period = lcm(period, run.len() as u64)?;
+            }
+        }
+        Some(period)
+    }
+
+    fn skip_windows(&mut self, count: u64) {
+        // The rotation is the only per-window state, and the skipped
+        // windows' inputs equal the last call's, so advancing the counter
+        // is all `count` real calls would have done.
         self.windows_matched += count;
     }
 
@@ -412,6 +488,10 @@ pub struct RandomMatcher {
     uploaders: Vec<u32>,
     downloaders: Vec<u32>,
     work: WorkBuffers,
+    /// Whether the last call had at most one peer: its shuffles drew
+    /// nothing, so it repeats every window. Any larger call draws fresh
+    /// coins, so its outcome has no period.
+    last_call_solo: bool,
 }
 
 impl RandomMatcher {
@@ -423,6 +503,7 @@ impl RandomMatcher {
             uploaders: Vec::new(),
             downloaders: Vec::new(),
             work: WorkBuffers::default(),
+            last_call_solo: false,
         }
     }
 }
@@ -438,6 +519,7 @@ impl Matcher for RandomMatcher {
     ) {
         validate_inputs(peers, needs, budgets, fetcher);
         let n = peers.len();
+        self.last_call_solo = n <= 1;
         let mut state = MatchState::begin(&mut self.work, needs, budgets, fetcher, 0, out);
         self.uploaders.clear();
         self.uploaders.extend(0..n as u32);
@@ -476,6 +558,10 @@ impl Matcher for RandomMatcher {
         state.finish();
     }
 
+    fn outcome_period(&self) -> Option<u64> {
+        self.last_call_solo.then_some(1)
+    }
+
     fn checkpoint_word(&self) -> u64 {
         self.rng.draws
     }
@@ -485,6 +571,7 @@ impl Matcher for RandomMatcher {
         // (once per process resurrection) and the stream advances two draws
         // per multi-peer window, so the fast-forward is cheap in practice.
         self.rng = CountingRng::seeded(self.seed);
+        self.last_call_solo = false;
         use rand::RngCore;
         for _ in 0..word {
             let _ = self.rng.next_u64();
@@ -584,21 +671,13 @@ impl<'a> MatchState<'a> {
     /// Drains needs against budgets inside each run of `order` whose bucket
     /// keys agree above `shift` bits, accounting transfers at `layer`.
     fn drain_runs(&mut self, order: &[u32], keys: &[u128], shift: u32, layer: Layer) {
-        let n = order.len();
-        let mut start = 0usize;
-        while start < n {
-            let group = keys[order[start] as usize] >> shift;
-            let mut end = start + 1;
-            while end < n && keys[order[end] as usize] >> shift == group {
-                end += 1;
-            }
-            if end - start >= 2 {
-                self.drain_one_group(&order[start..end], layer);
+        for run in group_runs(order, keys, shift) {
+            if run.len() >= 2 {
+                self.drain_one_group(&order[run], layer);
                 if self.done() {
                     return;
                 }
             }
-            start = end;
         }
     }
 
@@ -910,12 +989,45 @@ mod tests {
     }
 
     #[test]
-    fn note_solo_windows_matches_real_single_peer_calls() {
-        // Interleave multi-peer windows with runs of single-peer windows:
-        // taking the bulk path for the solo runs must leave both matchers in
-        // exactly the state the one-by-one path produces (rotation for the
-        // hierarchical matcher, RNG position for the random one).
-        let peers = quad();
+    fn skip_windows_matches_real_calls() {
+        // Peer sets whose exchange/PoP/core group sizes give each period:
+        // after one period of real calls, skipping `m` windows and matching
+        // one more must equal `m + 1` real calls (outcome and rotation),
+        // with the budget below the need so the rotation picks uploaders.
+        let cases: [(Vec<Peer>, u64); 6] = [
+            (vec![peer(0, 0)], 1),
+            (vec![peer(0, 0), peer(0, 0)], 2),
+            (vec![peer(0, 4); 3], 3),
+            (vec![peer(0, 0), peer(0, 0), peer(1, 0), peer(1, 0)], 4),
+            (vec![peer(0, 0), peer(0, 0), peer(1, 3)], 6),
+            (quad(), 12),
+        ];
+        for (peers, period) in &cases {
+            let (needs, budgets) = uniform_window(peers.len(), 1000, 400);
+            for m in [0, 1, period - 1, *period, 2 * period + 1, 7] {
+                let mut bulk = HierarchicalMatcher::new();
+                let mut stepped = HierarchicalMatcher::new();
+                for _ in 0..*period {
+                    let a = bulk.match_window(peers, &needs, &budgets, 0);
+                    let b = stepped.match_window(peers, &needs, &budgets, 0);
+                    assert_eq!(a, b);
+                }
+                assert_eq!(bulk.outcome_period(), Some(*period), "{peers:?}");
+                bulk.skip_windows(m);
+                for _ in 0..m {
+                    let _ = stepped.match_window(peers, &needs, &budgets, 0);
+                }
+                assert_eq!(
+                    bulk.match_window(peers, &needs, &budgets, 0),
+                    stepped.match_window(peers, &needs, &budgets, 0),
+                    "period {period}: divergence after skipping {m} windows"
+                );
+                assert_eq!(bulk.checkpoint_word(), stepped.checkpoint_word());
+            }
+        }
+        // Single-peer calls have period 1 for both matchers; interleaved
+        // with multi-peer windows, skipping them must leave the random
+        // matcher's stream where the one-by-one calls leave it.
         let solo = vec![peer(0, 0)];
         let (needs, budgets) = uniform_window(4, 1000, 400);
         let (solo_needs, solo_budgets) = uniform_window(1, 1000, 400);
@@ -924,16 +1036,18 @@ mod tests {
             let mut stepped = kind.build(17);
             for round in 0..4u64 {
                 let k = round * 3 + 1;
-                bulk.note_solo_windows(k);
+                let _ = bulk.match_window(&solo, &solo_needs, &solo_budgets, 0);
+                assert_eq!(bulk.outcome_period(), Some(1), "{kind:?}");
+                bulk.skip_windows(k - 1);
                 for _ in 0..k {
                     let out = stepped.match_window(&solo, &solo_needs, &solo_budgets, 0);
                     assert_eq!(out.peer_bytes(), 0, "{kind:?}: solo windows cannot match");
                     assert_eq!(out.server_bytes, 0);
                 }
                 assert_eq!(
-                    bulk.match_window(&peers, &needs, &budgets, 0),
-                    stepped.match_window(&peers, &needs, &budgets, 0),
-                    "{kind:?}: divergence after {k} bulk solo windows"
+                    bulk.match_window(&quad(), &needs, &budgets, 0),
+                    stepped.match_window(&quad(), &needs, &budgets, 0),
+                    "{kind:?}: divergence after {k} solo windows"
                 );
             }
         }
@@ -943,7 +1057,7 @@ mod tests {
     fn checkpoint_word_restores_mid_stream() {
         // Run W windows, capture the word, rebuild a fresh matcher of the
         // same kind/seed, restore — the pair must stay byte-identical for
-        // every subsequent window (including solo bulk advances).
+        // every subsequent window (including skipped windows).
         let peers = quad();
         for kind in [MatcherKind::Hierarchical, MatcherKind::Random] {
             let mut live = kind.build(23);
@@ -952,7 +1066,7 @@ mod tests {
                 let budgets = vec![300, 100, w * 9 % 500, 600];
                 let _ = live.match_window(&peers, &needs, &budgets, 0);
                 if w == 6 {
-                    live.note_solo_windows(4);
+                    live.skip_windows(4);
                 }
             }
             let word = live.checkpoint_word();
@@ -968,8 +1082,8 @@ mod tests {
                     "{kind:?}: window {w} after restore"
                 );
                 if w == 3 {
-                    live.note_solo_windows(2);
-                    restored.note_solo_windows(2);
+                    live.skip_windows(2);
+                    restored.skip_windows(2);
                 }
             }
         }
@@ -1040,6 +1154,48 @@ mod tests {
         }
 
         proptest! {
+            /// The cycle contract: from any starting rotation, a
+            /// hierarchical outcome comes back after `outcome_period()`
+            /// windows of unchanged inputs, while the random matcher
+            /// claims no period once a call has two or more peers.
+            #[test]
+            fn prop_outcome_repeats_after_its_period(
+                locs in proptest::collection::vec((0u8..2, 0u32..8), 1..=12),
+                needs_budgets in proptest::collection::vec((0u64..2_000, 0u64..2_000), 12..=12),
+                start in 0u64..100_000,
+            ) {
+                let peers: Vec<Peer> = locs.into_iter().map(|(i, e)| peer(i, e)).collect();
+                let n = peers.len();
+                let needs: Vec<u64> = needs_budgets[..n].iter().map(|&(need, _)| need).collect();
+                let budgets: Vec<u64> = needs_budgets[..n].iter().map(|&(_, b)| b).collect();
+                let at = |rotation: u64| {
+                    let mut m = HierarchicalMatcher::new();
+                    m.restore_word(rotation);
+                    let out = m.match_window(&peers, &needs, &budgets, 0);
+                    (out, m.outcome_period())
+                };
+                let (first, period) = at(start);
+                let period = period.expect("12 peers cannot overflow the lcm");
+                for r in 0..period.min(8) {
+                    let (out, p) = at(start + r);
+                    prop_assert_eq!(p, Some(period));
+                    prop_assert_eq!(out, at(start + r + period).0);
+                }
+                // Real calls, not restores: one period of stepping lands
+                // back on the first window's outcome.
+                if period <= 64 {
+                    let mut m = HierarchicalMatcher::new();
+                    m.restore_word(start);
+                    for _ in 0..period {
+                        let _ = m.match_window(&peers, &needs, &budgets, 0);
+                    }
+                    prop_assert_eq!(m.match_window(&peers, &needs, &budgets, 0), first);
+                }
+                let mut random = RandomMatcher::new(start);
+                let _ = random.match_window(&peers, &needs, &budgets, 0);
+                prop_assert_eq!(random.outcome_period(), (n == 1).then_some(1));
+            }
+
             #[test]
             fn prop_conservation_and_caps(
                 (peers, needs, budgets, fetcher) in window_strategy()

@@ -3,8 +3,10 @@
 //! The paper evaluates "the top 5 ISPs" in London (Figs. 2 and 4) and
 //! publishes the tree of the largest one (Table III). The remaining four
 //! trees are not published; the registry below instantiates plausible
-//! smaller trees so the reproduction exhibits the same ISP spread. See
-//! DESIGN.md §2 for the substitution rationale.
+//! smaller trees so the reproduction exhibits the same ISP spread. The
+//! other four ISPs enter the evaluation mainly through their market shares,
+//! which split viewers into ISP-friendly swarms; their synthetic trees only
+//! set how local the matches inside those swarms can be.
 
 use std::fmt;
 
@@ -109,7 +111,7 @@ impl IspRegistry {
     ///
     /// ISP-1 is the Table III topology (345 ExP / 9 PoP). Market shares
     /// follow the approximate UK fixed-broadband landscape of 2013/14; the
-    /// other trees are plausible but synthetic (see DESIGN.md §2).
+    /// other trees are plausible but synthetic (see the module docs).
     pub fn london_top5() -> Self {
         let mk = |e, p| IspTopology::new(e, p).expect("static topology is valid");
         Self::new(vec![

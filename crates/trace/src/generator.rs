@@ -967,8 +967,8 @@ struct ItemStream {
 ///
 /// Per-item RNG streams persist across days, so the emitted segments
 /// concatenate to exactly the monolithic trace; only one day's rows and
-/// columns are ever resident. Feed the segments to
-/// `Simulator::run_trace_stream` (in `consume-local-sim`) for the
+/// columns are ever resident. Feed the stream to
+/// `Simulator::simulate(&mut stream)` (in `consume-local-sim`) for the
 /// bounded-memory generate-and-simulate pipeline, or collect them with
 /// [`TraceGenerator::generate_segmented`].
 pub struct SegmentStream<'g> {

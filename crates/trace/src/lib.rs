@@ -4,9 +4,14 @@
 //! The paper's empirical section replays a **proprietary BBC iPlayer trace**
 //! (Table I: 3.3 M monthly London users behind 1.5 M IP addresses, 23.5 M
 //! sessions in September 2013). That trace is not public, so this crate
-//! generates a **statistically matched synthetic workload** instead — see
-//! DESIGN.md §2 for the substitution argument. Every distributional knob the
-//! evaluation depends on is explicit in [`TraceConfig`]:
+//! generates a **statistically matched synthetic workload** instead. The
+//! paper's results depend on the trace through per-item concurrency (swarm
+//! capacity `c`), its diurnal shape and where viewers sit in the ISP
+//! trees, so a generator that matches Table I's marginals and those
+//! distributions reproduces the figures' shapes; only the absolute
+//! head-swarm sizes shrink with scale (see [`TraceConfig::catalogue_size`]).
+//! Every distributional knob the evaluation depends on is explicit in
+//! [`TraceConfig`]:
 //!
 //! * a Zipf-popularity **content catalogue** with genre-typical durations and
 //!   broadcast-date view decay ([`content`]);

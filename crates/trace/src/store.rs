@@ -352,8 +352,8 @@ impl StoreCursor<'_> {
 /// A materialised `SegmentedStore` still holds every segment; the bounded
 /// *peak*-memory path streams segments one at a time from
 /// [`TraceGenerator::segments`](crate::generator::TraceGenerator::segments)
-/// into the engine (`Simulator::run_trace_stream` in `consume-local-sim`)
-/// so only one day is resident. The materialised form is the shared,
+/// into the engine (`Simulator::simulate(&mut stream)` in
+/// `consume-local-sim`) so only one day is resident. The materialised form is the shared,
 /// replayable middle ground (sweeps, tests) and carries the same global
 /// [`window_range`](SegmentedStore::window_range) /
 /// [`first_at_or_after`](SegmentedStore::first_at_or_after) lookup API as

@@ -1,5 +1,7 @@
-//! Ablation invariants: the design choices DESIGN.md calls out must move
-//! results in the direction the paper argues.
+//! Ablation invariants: each design choice the evaluation rests on —
+//! ISP-friendly and bitrate-split swarms, closest-first matching, the
+//! window length, the upload model and the diurnal arrival profile — must
+//! move results in the direction the paper argues.
 
 use consume_local::prelude::*;
 

@@ -56,11 +56,6 @@ fn replay_byte_identical_across_speeds_and_thread_counts() {
             "max-throughput replay must match the batch report at {threads} threads"
         );
         assert_eq!(stats.events, store.len() as u64);
-        // The retired wrapper is pinned to the same bytes mid-migration.
-        #[allow(deprecated)]
-        // lint:allow(deprecated-sim-entry) pins online against the legacy entry point
-        let legacy = sim.run_store(&store);
-        assert_eq!(report, legacy);
     }
 }
 
