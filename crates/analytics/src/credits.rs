@@ -20,8 +20,6 @@
 //! headline numbers (+18 % Valancius, +58 % Baliga at `G = 1`) match this
 //! corrected form exactly, and are unit-tested below.
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::{CostModel, EnergyParams};
 
 use crate::offload::offload_fraction;
@@ -39,7 +37,7 @@ use crate::offload::offload_fraction;
 /// assert!(m.cct(1.0) > 0.5);              // full offload: strongly positive
 /// assert!(m.carbon_neutral_offload().unwrap() < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CreditModel {
     cost: CostModel,
 }
@@ -126,7 +124,7 @@ impl CreditModel {
 
 /// One x-position of the Fig. 5 curves: normalised CDN savings (`= G`),
 /// normalised user savings (`= −G`) and the carbon credit transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CreditCurvePoint {
     /// Swarm capacity (x axis, log scale in the paper).
     pub capacity: f64,

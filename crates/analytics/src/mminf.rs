@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The capacity `c` of a content swarm: the long-run average number of
 /// concurrent viewers.
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((c.value() - 30.0).abs() < 1e-12);
 /// assert!(c.probability_online() > 0.999_999);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SwarmCapacity(f64);
 
 /// Error constructing a [`SwarmCapacity`] from invalid inputs.

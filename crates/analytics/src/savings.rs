@@ -17,8 +17,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::{CostModel, EnergyParams};
 use consume_local_topology::IspTopology;
 
@@ -46,7 +44,7 @@ impl fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// The two additive parts of Eq. 12 and their net value at one capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsBreakdown {
     /// Swarm capacity the breakdown was evaluated at.
     pub capacity: f64,
@@ -77,7 +75,7 @@ pub struct SavingsBreakdown {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavingsModel {
     cost: CostModel,
     topology: IspTopology,

@@ -9,8 +9,6 @@
 //! extensions (preloading at night consumes *greener* energy even though it
 //! forgoes peer sharing).
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::Energy;
 
 /// Grams of CO₂ emitted per kWh drawn from the grid, with an optional
@@ -26,7 +24,7 @@ use consume_local_energy::Energy;
 /// let one_kwh = Energy::from_joules(3.6e6);
 /// assert!((grid.grams_for(one_kwh) - 500.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridIntensity {
     /// Mean intensity in gCO₂/kWh.
     mean_g_per_kwh: f64,

@@ -1,7 +1,5 @@
 //! Population-level credit reporting (Fig. 6).
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::EnergyParams;
 use consume_local_stats::Edf;
 
@@ -9,7 +7,7 @@ use crate::statement::{CarbonStatement, CarbonStatus};
 
 /// The population view of the carbon credit transfer: the distribution of
 /// per-user CCT values under one energy parameter set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CreditReport {
     cct: Edf,
     positive: u64,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_analytics::CreditModel;
 use consume_local_energy::{CostModel, Energy, EnergyParams, Traffic};
 
 /// Whether a user's streaming ends up carbon positive after the credit
 /// transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CarbonStatus {
     /// Credit exceeds the footprint (CCT > tolerance).
     Positive,
@@ -47,7 +45,7 @@ impl fmt::Display for CarbonStatus {
 }
 
 /// One user's carbon accounting for the traced period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonStatement {
     /// Bytes the user streamed.
     pub watched_bytes: u64,

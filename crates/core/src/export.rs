@@ -3,9 +3,9 @@
 //! Every figure function returns plain data series; these helpers serialise
 //! them so results can be plotted with external tooling (gnuplot, matplotlib)
 //! exactly like the paper's figures. The [`json`] submodule is the
-//! counterpart for the sweep runner's machine-readable results (the
-//! workspace's serde is an offline no-op shim, so JSON is hand-serialised
-//! here, just like the trace crate's CSV codec).
+//! counterpart for the sweep runner's machine-readable results: the
+//! workspace has no serialisation dependency, so JSON is hand-serialised
+//! here, just like the trace crate's CSV codec.
 
 use std::fmt::Write as _;
 use std::io;

@@ -103,8 +103,7 @@ pub mod prelude {
     pub use crate::experiment::{Experiment, ExperimentBuilder, ExperimentError};
     pub use crate::sim::{
         CheckpointCadence, CheckpointError, CheckpointPolicy, Checkpointer, DayClose, Degradation,
-        RetryPolicy, SessionSource, SimConfig, SimReport, SimWarning, Simulator, SourceError,
-        UploadModel,
+        SessionSource, SimConfig, SimReport, SimWarning, Simulator, UploadModel,
     };
     pub use crate::swarm::{MatcherKind, SwarmPolicy};
     pub use crate::sweep::{SweepConfig, SweepGrid, SweepReport, SweepRunner};

@@ -43,10 +43,8 @@ use std::time::Instant;
 
 use consume_local_analytics::sweep::{ScenarioSample, SweepSummary};
 use consume_local_energy::EnergyParams;
-use consume_local_sim::par::{parallel_map, parallel_map_slices};
-use consume_local_sim::{
-    SegmentedRun, SimConfig, SimConfigError, SimReport, Simulator, UploadModel,
-};
+use consume_local_sim::par::parallel_map;
+use consume_local_sim::{SimConfig, SimConfigError, Simulator, UploadModel};
 use consume_local_swarm::{MatcherKind, SwarmPolicy};
 use consume_local_topology::IspRegistry;
 use consume_local_trace::{
@@ -349,23 +347,6 @@ pub struct SweepConfig {
     /// fanning its per-item synthesis across this many threads — the
     /// generated bytes are identical for any value.
     pub trace_workers: Option<usize>,
-    /// Consume each trace as a stream of per-day segments instead of one
-    /// shared monolithic [`SessionStore`]: every scenario holds a
-    /// persistent [`SegmentedRun`], each generated day segment is fed to
-    /// all of them and then dropped, so peak trace memory is **one day**
-    /// instead of the whole horizon — the mode that makes `large`/`full`
-    /// sweeps fit small machines. Outcomes are byte-identical to the
-    /// shared-store mode (pinned in `tests/determinism.rs`); only the
-    /// wall-time shape changes.
-    pub segmented: bool,
-    /// The engine's swarm-state spill/compaction lifecycle
-    /// ([`SimConfig::spill`](consume_local_sim::SimConfig)): on by default,
-    /// it freezes quiescent swarm machines and spills sealed days between
-    /// segments — the memory lifecycle that keeps metro-scale runs inside
-    /// the London RSS envelope. Outcomes are byte-identical either way
-    /// (pinned alongside the segmented-mode identity); the toggle exists
-    /// for oracle comparisons and memory-vs-CPU tuning at sweep scale.
-    pub spill: bool,
 }
 
 impl Default for SweepConfig {
@@ -376,8 +357,6 @@ impl Default for SweepConfig {
             workers: SimConfig::default_threads(),
             sim_threads: 1,
             trace_workers: None,
-            segmented: false,
-            spill: true,
         }
     }
 }
@@ -465,8 +444,9 @@ pub struct ScenarioOutcome {
     /// Measured while up to [`SweepConfig::workers`] scenarios run
     /// concurrently, so this is a *throughput-context* number: comparable
     /// across runs with the same worker count (which the timing JSON
-    /// records), not a contention-free kernel time — the `sweep_engine`
-    /// bench's `engine_hot_path` section is the isolated measurement.
+    /// records), not a contention-free kernel time. For that, run the
+    /// benchmark in `perfbench/`: its traced run reports the engine's own
+    /// push time as the `engine.push_ms` layer.
     pub wall_ms: f64,
 }
 
@@ -732,14 +712,6 @@ impl SweepRunner {
         &self.scenarios
     }
 
-    /// A scenario's simulator configuration under this sweep's execution
-    /// knobs ([`SweepConfig::sim_threads`], [`SweepConfig::spill`]).
-    fn scenario_sim(&self, scenario: &Scenario) -> SimConfig {
-        let mut sim = scenario.sim_config(self.config.seed, self.config.sim_threads);
-        sim.spill = self.config.spill;
-        sim
-    }
-
     /// Runs every scenario and returns the report.
     ///
     /// Distinct `(preset, topology)` traces are generated **and
@@ -749,22 +721,7 @@ impl SweepRunner {
     /// trace, and scenarios then fan out across `workers` threads with
     /// slot-ordered work stealing — the report is identical for any worker
     /// count on either axis.
-    ///
-    /// With [`SweepConfig::segmented`] set, the run is **time-major**
-    /// instead: each trace streams out one day segment at a time, every
-    /// scenario's [`SegmentedRun`] consumes the segment concurrently, and
-    /// the segment is dropped before the next is generated — same
-    /// outcomes, one-day peak trace memory.
     pub fn run(&self) -> SweepReport {
-        if self.config.segmented {
-            self.run_segment_stream()
-        } else {
-            self.run_shared_store()
-        }
-    }
-
-    /// The shared-store execution mode (see [`SweepRunner::run`]).
-    fn run_shared_store(&self) -> SweepReport {
         // 1. One trace per distinct (preset, topology), generated once and
         //    columnarised once, with per-phase wall times recorded. Distinct
         //    traces build concurrently across `workers` threads AND each
@@ -822,19 +779,28 @@ impl SweepRunner {
                 .position(|&k| k == key)
                 .expect("trace generated per key");
             let store = &stores[store_idx];
-            let sim = Simulator::try_new(self.scenario_sim(&scenario))
-                .expect("validated in SweepRunner::new");
+            let sim =
+                Simulator::try_new(scenario.sim_config(self.config.seed, self.config.sim_threads))
+                    .expect("validated in SweepRunner::new");
             // lint:allow(no-wall-clock) scenario wall-time telemetry, omitted from deterministic JSON
             let start = Instant::now();
             let report = sim.simulate(store.as_ref());
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            outcome_from_report(
+            ScenarioOutcome {
                 scenario,
-                store.population_len() as u64,
-                store.len() as u64,
-                &report,
+                users: store.population_len() as u64,
+                sessions: store.len() as u64,
+                swarms: report.swarms.len() as u64,
+                demand_bytes: report.total.demand_bytes,
+                server_bytes: report.total.server_bytes,
+                cache_bytes: report.total.cache_bytes,
+                preload_bytes: report.total.preload_bytes,
+                peer_bytes_by_layer: report.total.peer_bytes_by_layer,
+                offload_share: report.total.offload_share(),
+                savings_valancius: report.total_savings(&EnergyParams::valancius()),
+                savings_baliga: report.total_savings(&EnergyParams::baliga()),
                 wall_ms,
-            )
+            }
         });
 
         SweepReport {
@@ -844,147 +810,6 @@ impl SweepRunner {
             trace_builds,
             outcomes,
         }
-    }
-
-    /// The segmented execution mode (see [`SweepConfig::segmented`]): for
-    /// each distinct `(preset, topology)` trace, open a
-    /// [`SegmentStream`](consume_local_trace::SegmentStream), give every
-    /// scenario of that trace a persistent [`SegmentedRun`], and feed each
-    /// generated day to all of them (fanned across `workers` threads over
-    /// disjoint per-run chunks) before the segment is dropped. Peak trace
-    /// memory is one day; outcomes are byte-identical to the shared-store
-    /// mode.
-    fn run_segment_stream(&self) -> SweepReport {
-        let seed = self.config.seed;
-        let trace_workers = self.config.trace_workers.unwrap_or(self.config.workers);
-        let mut trace_keys: Vec<(ScalePreset, TopologyPreset, u64)> = Vec::new();
-        for s in &self.scenarios {
-            if !trace_keys.contains(&s.trace_key()) {
-                trace_keys.push(s.trace_key());
-            }
-        }
-
-        let mut trace_builds = Vec::with_capacity(trace_keys.len());
-        let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; self.scenarios.len()];
-        // One scenario's in-flight state: its engine run plus the wall time
-        // it has accumulated across segment feeds.
-        struct InFlight {
-            run: SegmentedRun,
-            wall_ms: f64,
-        }
-        for key in trace_keys {
-            let (preset, topology, _) = key;
-            let scenario_ids: Vec<usize> = (0..self.scenarios.len())
-                .filter(|&i| self.scenarios[i].trace_key() == key)
-                .collect();
-            let trace_config = self.scenarios[scenario_ids[0]].trace_config();
-            let generator = TraceGenerator::new(trace_config, seed).workers(trace_workers);
-            let mut stream = generator
-                .segments()
-                .expect("preset trace configs are valid");
-            let horizon = stream.config().horizon_seconds();
-            let users = stream.population().len();
-
-            let mut flights: Vec<Option<InFlight>> = scenario_ids
-                .iter()
-                .map(|&i| {
-                    let sim = Simulator::try_new(self.scenario_sim(&self.scenarios[i]))
-                        .expect("validated in SweepRunner::new");
-                    Some(InFlight {
-                        run: sim.begin(horizon, users),
-                        wall_ms: 0.0,
-                    })
-                })
-                .collect();
-            let offsets: Vec<usize> = (0..=flights.len()).collect();
-
-            let mut stream_ms = 0.0;
-            let mut sessions = 0u64;
-            loop {
-                // lint:allow(no-wall-clock) wall-time telemetry, omitted from deterministic JSON
-                let start = Instant::now();
-                let Some(segment) = stream.next_segment() else {
-                    break;
-                };
-                stream_ms += start.elapsed().as_secs_f64() * 1e3;
-                sessions += segment.len() as u64;
-                parallel_map_slices(&mut flights, &offsets, self.config.workers, |_, chunk| {
-                    let flight = chunk[0].as_mut().expect("taken only at finish");
-                    // lint:allow(no-wall-clock) scenario wall-time telemetry, omitted from deterministic JSON
-                    let start = Instant::now();
-                    flight.run.push_segment(&segment);
-                    flight.wall_ms += start.elapsed().as_secs_f64() * 1e3;
-                });
-                // `segment` drops here: only one day is ever resident.
-            }
-            let columnarize_ms = stream.columnarize_ms();
-            let reports: Vec<(SimReport, f64)> =
-                parallel_map_slices(&mut flights, &offsets, self.config.workers, |_, chunk| {
-                    let flight = chunk[0].take().expect("each flight finishes once");
-                    // lint:allow(no-wall-clock) scenario wall-time telemetry, omitted from deterministic JSON
-                    let start = Instant::now();
-                    let report = flight.run.finish();
-                    (report, flight.wall_ms + start.elapsed().as_secs_f64() * 1e3)
-                });
-
-            trace_builds.push(TraceBuild {
-                preset,
-                topology,
-                sessions,
-                users: users as u64,
-                // The stream interleaves synthesis+merge with per-day
-                // columnarisation; report them in the same two buckets as
-                // the shared-store mode.
-                generate_ms: (stream_ms - columnarize_ms).max(0.0),
-                columnarize_ms,
-            });
-            for (&i, (report, wall_ms)) in scenario_ids.iter().zip(&reports) {
-                outcomes[i] = Some(outcome_from_report(
-                    self.scenarios[i],
-                    users as u64,
-                    sessions,
-                    report,
-                    *wall_ms,
-                ));
-            }
-        }
-
-        SweepReport {
-            seed,
-            workers: self.config.workers,
-            trace_workers,
-            trace_builds,
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every scenario belongs to one trace key"))
-                .collect(),
-        }
-    }
-}
-
-/// Reduces one scenario's [`SimReport`] to its sweep outcome — shared by
-/// the shared-store and segmented execution modes.
-fn outcome_from_report(
-    scenario: Scenario,
-    users: u64,
-    sessions: u64,
-    report: &SimReport,
-    wall_ms: f64,
-) -> ScenarioOutcome {
-    ScenarioOutcome {
-        scenario,
-        users,
-        sessions,
-        swarms: report.swarms.len() as u64,
-        demand_bytes: report.total.demand_bytes,
-        server_bytes: report.total.server_bytes,
-        cache_bytes: report.total.cache_bytes,
-        preload_bytes: report.total.preload_bytes,
-        peer_bytes_by_layer: report.total.peer_bytes_by_layer,
-        offload_share: report.total.offload_share(),
-        savings_valancius: report.total_savings(&EnergyParams::valancius()),
-        savings_baliga: report.total_savings(&EnergyParams::baliga()),
-        wall_ms,
     }
 }
 
@@ -999,55 +824,7 @@ mod tests {
             workers,
             sim_threads: 1,
             trace_workers: None,
-            segmented: false,
-            spill: true,
         }
-    }
-
-    #[test]
-    fn segmented_mode_matches_shared_store_outcomes() {
-        let shared = SweepRunner::new(quick_config(2)).unwrap().run();
-        let mut config = quick_config(2);
-        config.segmented = true;
-        let segmented = SweepRunner::new(config).unwrap().run();
-        // Identical deterministic documents: same scenarios, same bytes,
-        // same savings — only wall-times (omitted here) may differ.
-        assert_eq!(
-            shared.to_json_deterministic().render(),
-            segmented.to_json_deterministic().render()
-        );
-        // Build records still cover the one shared trace.
-        assert_eq!(segmented.trace_builds.len(), 1);
-        assert_eq!(
-            segmented.trace_builds[0].sessions,
-            shared.trace_builds[0].sessions
-        );
-        let (generate, columnarize, simulate) = segmented.phase_wall_ms();
-        assert!(generate >= 0.0 && columnarize >= 0.0 && simulate > 0.0);
-    }
-
-    #[test]
-    fn spill_toggle_never_changes_outcomes() {
-        // The engine's swarm-state spill/compaction lifecycle is a pure
-        // memory optimisation: the sweep's deterministic document must be
-        // byte-identical with it on (default) and off, in both execution
-        // modes.
-        let spill_on = SweepRunner::new(quick_config(2)).unwrap().run();
-        let mut config = quick_config(2);
-        config.spill = false;
-        let spill_off = SweepRunner::new(config).unwrap().run();
-        assert_eq!(
-            spill_on.to_json_deterministic().render(),
-            spill_off.to_json_deterministic().render()
-        );
-        let mut config = quick_config(2);
-        config.spill = false;
-        config.segmented = true;
-        let segmented_off = SweepRunner::new(config).unwrap().run();
-        assert_eq!(
-            spill_on.to_json_deterministic().render(),
-            segmented_off.to_json_deterministic().render()
-        );
     }
 
     #[test]
@@ -1192,8 +969,6 @@ mod tests {
             workers: 2,
             sim_threads: 1,
             trace_workers: None,
-            segmented: false,
-            spill: true,
         }
     }
 
@@ -1226,18 +1001,6 @@ mod tests {
         let plain_json = plain.to_json_deterministic().render();
         assert!(!plain_json.contains("churn_rate"));
         assert!(!plain_json.contains("\"cooperation\""));
-    }
-
-    #[test]
-    fn segmented_mode_matches_shared_store_with_churn() {
-        let shared = SweepRunner::new(robustness_config()).unwrap().run();
-        let mut config = robustness_config();
-        config.segmented = true;
-        let segmented = SweepRunner::new(config).unwrap().run();
-        assert_eq!(
-            shared.to_json_deterministic().render(),
-            segmented.to_json_deterministic().render()
-        );
     }
 
     #[test]

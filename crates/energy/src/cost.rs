@@ -1,7 +1,5 @@
 //! Per-bit cost functions ψ of Section III-D of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_topology::Layer;
 
 use crate::params::EnergyParams;
@@ -29,7 +27,7 @@ use crate::units::{Energy, EnergyPerBit, Traffic};
 /// let local = m.peer_energy(one_gb, Layer::ExchangePoint);
 /// assert!(local < server);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     params: EnergyParams,
 }

@@ -3,12 +3,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::EnergyPerBit;
 
 /// Which published parameter set a model instance came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Valancius et al., *Greening the Internet with Nano Data Centers*,
     /// CoNEXT 2009. Network legs = hops × 150 nJ/bit.
@@ -45,7 +43,7 @@ pub const VALANCIUS_HOPS: ValanciusHops = ValanciusHops {
 };
 
 /// Hop counts for the Valancius hop-based derivation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValanciusHops {
     /// Hops between an end user and a CDN node.
     pub cdn: u32,
@@ -63,7 +61,7 @@ pub struct ValanciusHops {
 /// All γ values are per-bit intensities; `pue` is the power-usage
 /// effectiveness applied to shared infrastructure and `loss` the end-user
 /// equipment energy loss factor `l`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Which published set these values reproduce, if any.
     pub kind: Option<ModelKind>,

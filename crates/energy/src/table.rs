@@ -1,11 +1,9 @@
 //! Regeneration of the paper's Table IV.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::EnergyParams;
 
 /// One row of Table IV: a named parameter with its value in both models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Parameter description as printed in the paper.
     pub variable: &'static str,

@@ -5,8 +5,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements `Display` for a float newtype with a fixed unit suffix.
 macro_rules! fmt_display_unit {
     ($unit:literal) => {
@@ -18,7 +16,7 @@ macro_rules! fmt_display_unit {
 
 /// A per-bit energy intensity in nanojoules per bit (nJ/bit) — the unit of
 /// every γ and ψ in the paper's Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct EnergyPerBit(f64);
 
 impl EnergyPerBit {
@@ -88,7 +86,7 @@ impl fmt::Display for EnergyPerBit {
 }
 
 /// An absolute amount of energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -164,9 +162,7 @@ impl fmt::Display for Energy {
 
 /// A traffic volume, stored in bytes (the natural unit of the trace) but
 /// convertible to bits (the natural unit of the energy models).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Traffic(u64);
 
 impl Traffic {

@@ -11,9 +11,9 @@
 //!
 //! # Format
 //!
-//! Everything is hand-rolled little-endian — the workspace's `serde` shim is
-//! a no-op, and a checkpoint must be readable by a *different* process, so
-//! the layout is owned here, versioned and digest-guarded:
+//! Everything is hand-rolled little-endian — a checkpoint must be readable
+//! by a *different* process, so the layout is owned here, versioned and
+//! digest-guarded:
 //!
 //! ```text
 //! offset  size  field
@@ -60,8 +60,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CLSNAP\r\n";
 ///
 /// Version 2 added the spill state: the config's `spill` flag, the run's
 /// spilled-day boundary and grouped day × ISP cells, and each swarm's
-/// frozen-day list.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// frozen-day list. Version 3 drops the `spill` flag byte: spilling is
+/// unconditional, so the spilled-day boundary always equals the days the
+/// watermark has sealed.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Sanity bound on the declared payload length (1 GiB). A corrupted header
 /// cannot make the reader allocate unbounded memory: real snapshots are

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_swarm::{MatcherKind, SwarmPolicy};
 use consume_local_trace::ChurnConfigError;
 
@@ -72,7 +70,7 @@ impl From<ChurnConfigError> for SimConfigError {
 }
 
 /// How much upload bandwidth each peer contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UploadModel {
     /// Upload is a fixed ratio of the peer's own streaming bitrate
     /// (`q = ratio·β`), the paper's `q/β` sweep parameter.
@@ -116,14 +114,14 @@ impl Default for UploadModel {
 /// popular catalogue items are replicated in nano-caches at every exchange
 /// point; their non-peer traffic is served from the cache instead of the
 /// CDN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeCache {
     /// How many head items each exchange point caches.
     pub top_items: u32,
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Window length Δτ in seconds (paper: 10 s).
     pub window_secs: u64,
@@ -164,17 +162,6 @@ pub struct SimConfig {
     /// stream independent of thread schedule — and the lost volume is
     /// surfaced in `SimReport::degradation`.
     pub cooperation_rate: f64,
-    /// Whether incremental runs spill sealed days and compact quiescent
-    /// swarm machines between segments (on by default).
-    ///
-    /// Once the watermark passes a day's end its per-swarm ledgers are
-    /// final; spilling folds them into the run-level day × ISP cells and a
-    /// compact per-swarm frozen form, and quiescent machines drop their
-    /// matcher and lookup tables (rebuilt on reactivation exactly as a
-    /// checkpoint restore rebuilds them). Results are byte-identical either
-    /// way — the knob exists for the oracle tests and for memory-vs-CPU
-    /// tuning; only peak RSS changes.
-    pub spill: bool,
 }
 
 impl Default for SimConfig {
@@ -190,7 +177,6 @@ impl Default for SimConfig {
             edge_cache: None,
             participation_rate: 1.0,
             cooperation_rate: 1.0,
-            spill: true,
         }
     }
 }

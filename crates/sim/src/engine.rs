@@ -27,7 +27,8 @@
 //!
 //! Every way of feeding sessions to the engine goes through one entry
 //! point: [`Simulator::simulate`] consumes any [`SessionSource`] — a whole
-//! trace or prebuilt store in one batch, a [`SegmentedStore`] or generated
+//! trace or prebuilt store in one batch, a
+//! [`SegmentedStore`](consume_local_trace::SegmentedStore) or generated
 //! [`SegmentStream`](consume_local_trace::SegmentStream) day by day, or the
 //! [`online`](crate::online) ingest channel as watermarked batches — and
 //! every source produces the **byte-identical** report (the resumable
@@ -41,7 +42,7 @@ use std::io::{Read, Write};
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Matcher, MatcherKind, Peer, SwarmKey, SwarmPolicy};
 use consume_local_topology::{ExchangeId, IspId, PopId, UserLocation};
-use consume_local_trace::{device::BitrateClass, ContentId, SegmentedStore, SessionStore, SimTime};
+use consume_local_trace::{device::BitrateClass, ContentId, SessionStore, SimTime};
 
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
@@ -92,7 +93,8 @@ impl Simulator {
     ///
     /// The report is **byte-identical across sources**: a whole
     /// [`Trace`](consume_local_trace::Trace), its prebuilt
-    /// [`SessionStore`], a per-day [`SegmentedStore`], a generated
+    /// [`SessionStore`], a per-day
+    /// [`SegmentedStore`](consume_local_trace::SegmentedStore), a generated
     /// [`SegmentStream`](consume_local_trace::SegmentStream), or the online
     /// ingest channel ([`online::channel`](crate::online::channel)) all
     /// produce the same bytes for the same sessions, at any thread count
@@ -193,12 +195,10 @@ impl Simulator {
     }
 
     /// Begins an incremental run: push watermarked session batches with
-    /// [`SegmentedRun::push_batch`] (or day segments with the
-    /// [`SegmentedRun::push_segment`] convenience), then call
-    /// [`SegmentedRun::finish`]. [`Simulator::simulate`] is the one-call
-    /// wrapper; this entry point exists for callers that interleave batch
-    /// production with other work (the sweep runner shares each generated
-    /// segment across many concurrent runs).
+    /// [`SegmentedRun::push_batch`], then call [`SegmentedRun::finish`].
+    /// [`Simulator::simulate`] is the one-call wrapper; this entry point
+    /// exists for callers that interleave batch production with other work
+    /// (checkpointing between batches, or timing each push).
     pub fn begin(&self, horizon_secs: u64, population_len: usize) -> SegmentedRun {
         SegmentedRun {
             sim: self.clone(),
@@ -393,6 +393,18 @@ fn sort_key_warnings(maxima: (u64, u32, u32)) -> Vec<SimWarning> {
         }]
     } else {
         Vec::new()
+    }
+}
+
+/// The number of leading days a watermark has sealed: days whose end it
+/// has reached, or every horizon day once it reaches the horizon.
+fn sealed_days(watermark: u64, horizon_secs: u64) -> u64 {
+    let spd = consume_local_trace::time::SECS_PER_DAY;
+    let total_days = horizon_secs.div_ceil(spd);
+    if watermark >= horizon_secs {
+        total_days
+    } else {
+        (watermark / spd).min(total_days)
     }
 }
 
@@ -1109,12 +1121,15 @@ impl SwarmSim {
         (1 + self.users.len() + self.active.len() + self.carry.len()) as u64
     }
 
-    /// Releases window-loop scratch while the machine is quiescent between
-    /// segments. Hundreds of thousands of machines persist across a
-    /// full-scale run but only a day's worth are ever mid-session; the
-    /// scratch regrows on the next admission, and capacity changes cannot
-    /// affect results — only the resident footprint.
-    fn shrink_scratch(&mut self) {
+    /// Compacts a quiescent machine to its dormant form: window-loop
+    /// scratch released, matcher reduced to its checkpoint word, the slot
+    /// lookup dropped and the surviving accumulators trimmed to size.
+    /// Everything discarded is derived state a checkpoint restore already
+    /// recomputes or the next admission regrows, so dormancy cannot affect
+    /// results — only the resident footprint. Hundreds of thousands of
+    /// machines persist across a full-scale run but only a day's worth are
+    /// ever mid-session, so this is the per-swarm RSS lever.
+    fn freeze(&mut self) {
         debug_assert!(self.is_quiescent());
         self.active = ActiveSet::default();
         self.carry = VecDeque::new();
@@ -1122,17 +1137,6 @@ impl SwarmSim {
         self.needs_flaked = Vec::new();
         self.cycle_ledgers = Vec::new();
         self.cycle_uploads = Vec::new();
-    }
-
-    /// Compacts a quiescent machine to its dormant form: scratch released,
-    /// matcher reduced to its checkpoint word, the slot lookup dropped and
-    /// the surviving accumulators trimmed to size. Everything discarded is
-    /// derived state a checkpoint restore already recomputes, so dormancy
-    /// cannot affect results — only the resident footprint. At full scale
-    /// the slot table and matcher scratch dominate a quiescent machine, so
-    /// this is the per-swarm RSS lever.
-    fn freeze(&mut self) {
-        self.shrink_scratch();
         if let MatcherSlot::Live(m) = &self.matcher {
             self.matcher = MatcherSlot::Dormant {
                 word: m.checkpoint_word(),
@@ -1287,9 +1291,9 @@ pub struct SegmentedRun {
     watermark: u64,
     /// Days already emitted by [`SegmentedRun::drain_closed_days`].
     closed_days: u64,
-    /// Days whose per-swarm ledgers have been spilled (always ≤ the sealed
-    /// day count; 0 with spill disabled). Every machine's `daily` list
-    /// holds only days at or past this boundary.
+    /// Days whose per-swarm ledgers have been spilled: between pushes,
+    /// exactly the days the watermark has sealed ([`sealed_days`]). Every
+    /// machine's `daily` list holds only days at or past this boundary.
     spilled_days: u64,
     /// The spilled days' accumulated day × ISP cells, `(day, isp)`-sorted
     /// and grouped — byte-identical to the prefix of the final report's
@@ -1303,14 +1307,6 @@ pub struct SegmentedRun {
 }
 
 impl SegmentedRun {
-    /// Feeds the next day's segment (day `N` on the `N`-th call, empty days
-    /// included) — the day-granular convenience over
-    /// [`SegmentedRun::push_batch`] with the day's end as the watermark.
-    pub fn push_segment(&mut self, segment: &SessionStore) {
-        let day = self.watermark / SegmentedStore::SEGMENT_SECS;
-        self.push_batch(segment, (day + 1) * SegmentedStore::SEGMENT_SECS);
-    }
-
     /// Feeds a batch of sessions and advances the watermark: every session
     /// in `batch` must start in `[previous watermark, watermark)`, and no
     /// later batch may contain a session starting before `watermark` — the
@@ -1417,7 +1413,6 @@ impl SegmentedRun {
         let offsets = cost_chunks(&costs, self.sim.config.threads);
         let sim = &self.sim;
         let horizon = self.horizon_secs;
-        let spill = sim.config.spill;
         parallel_map_slices(
             &mut self.states,
             &offsets,
@@ -1432,18 +1427,12 @@ impl SegmentedRun {
                         .swarm
                         .advance(sim, batch, work[base + j], limit, horizon);
                     if state.swarm.is_quiescent() {
-                        if spill {
-                            state.swarm.freeze();
-                        } else {
-                            state.swarm.shrink_scratch();
-                        }
+                        state.swarm.freeze();
                     }
                 }
             },
         );
-        if spill {
-            self.spill_sealed_days();
-        }
+        self.spill_sealed_days();
     }
 
     /// Spills every newly sealed day out of the per-swarm machines: each
@@ -1456,13 +1445,7 @@ impl SegmentedRun {
     /// grow again (the invariant [`SegmentedRun::drain_closed_days`]
     /// already relies on).
     fn spill_sealed_days(&mut self) {
-        let spd = consume_local_trace::time::SECS_PER_DAY;
-        let total_days = self.horizon_secs.div_ceil(spd);
-        let sealed = if self.watermark >= self.horizon_secs {
-            total_days
-        } else {
-            (self.watermark / spd).min(total_days)
-        };
+        let sealed = sealed_days(self.watermark, self.horizon_secs);
         if sealed <= self.spilled_days {
             return;
         }
@@ -1502,37 +1485,20 @@ impl SegmentedRun {
     /// machines advanced past it) and no future session can start inside
     /// it, so the day's ledger is final. Days the watermark never passes
     /// are emitted by [`SegmentedRun::finish_days`].
+    ///
+    /// Every push spills the days it seals, so a sealed day's ledger is the
+    /// sum of its grouped day × ISP cells (per-ISP instead of per-swarm —
+    /// `u64` addition makes the regrouping exact).
     pub fn drain_closed_days(&mut self, mut on_day_close: impl FnMut(DayClose)) {
-        let spd = consume_local_trace::time::SECS_PER_DAY;
-        let total_days = self.horizon_secs.div_ceil(spd);
-        let sealed = if self.watermark >= self.horizon_secs {
-            total_days
-        } else {
-            (self.watermark / spd).min(total_days)
-        };
-        while self.closed_days < sealed {
+        while self.closed_days < self.spilled_days {
             let day = self.closed_days as u32;
             let mut ledger = ByteLedger::new();
-            if self.closed_days < self.spilled_days {
-                // The day's per-swarm entries were spilled: its grouped
-                // cells hold the same sums (per-ISP instead of per-swarm —
-                // `u64` addition makes the regrouping exact).
-                let from = self.spilled_cells.partition_point(|&(d, _, _)| d < day);
-                for (d, _, cell) in &self.spilled_cells[from..] {
-                    if *d != day {
-                        break;
-                    }
-                    ledger.merge(cell);
+            let from = self.spilled_cells.partition_point(|&(d, _, _)| d < day);
+            for (d, _, cell) in &self.spilled_cells[from..] {
+                if *d != day {
+                    break;
                 }
-            } else {
-                // Each machine's `daily` list is day-sorted (days are
-                // appended monotonically), so the day's entry is one binary
-                // search away.
-                for state in &self.states {
-                    if let Ok(i) = state.swarm.daily.binary_search_by_key(&day, |e| e.0) {
-                        ledger.merge(&state.swarm.daily[i].1);
-                    }
-                }
+                ledger.merge(cell);
             }
             on_day_close(DayClose { day, ledger });
             self.closed_days += 1;
@@ -1744,6 +1710,11 @@ impl Simulator {
         let watermark = r.take_u64("watermark")?;
         let closed_days = r.take_u64("closed days")?;
         let spilled_days = r.take_u64("spilled days")?;
+        if spilled_days != sealed_days(watermark, horizon_secs) {
+            return Err(CheckpointError::Corrupt(
+                "spilled days differ from the days the watermark sealed",
+            ));
+        }
         let cells = r.take_len("spilled cell count")?;
         let mut spilled_cells = Vec::with_capacity(cells);
         let mut prev_cell: Option<(u32, Option<IspId>)> = None;
@@ -1854,7 +1825,6 @@ fn put_config(w: &mut SnapshotWriter, c: &SimConfig) {
     }
     w.put_f64(c.participation_rate);
     w.put_f64(c.cooperation_rate);
-    w.put_bool(c.spill);
 }
 
 fn take_config(r: &mut SnapshotReader) -> Result<SimConfig, CheckpointError> {
@@ -1888,7 +1858,6 @@ fn take_config(r: &mut SnapshotReader) -> Result<SimConfig, CheckpointError> {
     };
     let participation_rate = r.take_f64("participation rate")?;
     let cooperation_rate = r.take_f64("cooperation rate")?;
-    let spill = r.take_bool("spill flag")?;
     Ok(SimConfig {
         window_secs,
         upload,
@@ -1900,7 +1869,6 @@ fn take_config(r: &mut SnapshotReader) -> Result<SimConfig, CheckpointError> {
         edge_cache,
         participation_rate,
         cooperation_rate,
-        spill,
     })
 }
 
@@ -2346,7 +2314,7 @@ fn swarm_seed(base: u64, key: &SwarmKey) -> u64 {
 struct SwarmOutput {
     ledger: ByteLedger,
     /// Days spilled while the run was in flight, preceding every `daily`
-    /// entry (empty on the monolithic path and with spill disabled).
+    /// entry (empty on the test-only single-advance path).
     frozen: Vec<FrozenDay>,
     daily: Vec<(u32, ByteLedger)>,
     users: Vec<(u32, u64, u64)>,
@@ -2587,7 +2555,7 @@ mod tests {
     use consume_local_topology::{ExchangeId, IspId, IspTopology};
     use consume_local_trace::device::DeviceClass;
     use consume_local_trace::{
-        ContentId, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
+        ContentId, SegmentedStore, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
     };
 
     fn tiny_trace() -> Trace {
@@ -3287,7 +3255,7 @@ mod tests {
         let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
         let sim = Simulator::new(SimConfig::default());
         let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-        run.push_segment(seg.segment(0));
+        run.push_batch(seg.segment(0), SegmentedStore::SEGMENT_SECS);
         assert_eq!(run.finish(), sim.simulate(&trace));
     }
 
@@ -3377,6 +3345,15 @@ mod tests {
         );
     }
 
+    /// The day segments of `seg`, each paired with its day's end as the
+    /// watermark.
+    fn day_batches(seg: &SegmentedStore) -> impl Iterator<Item = (&SessionStore, u64)> {
+        seg.segments()
+            .iter()
+            .zip(1..)
+            .map(|(segment, day)| (segment, day * SegmentedStore::SEGMENT_SECS))
+    }
+
     /// A snapshot taken mid-run must restore into a run that finishes
     /// byte-identically to both the donor and the uninterrupted reference,
     /// across configs that exercise every codec branch: hierarchical and
@@ -3407,16 +3384,16 @@ mod tests {
             let expect = sim.simulate(&seg);
             let cut = seg.num_segments() / 2;
             let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-            for segment in &seg.segments()[..cut] {
-                run.push_segment(segment);
+            for (segment, watermark) in day_batches(&seg).take(cut) {
+                run.push_batch(segment, watermark);
             }
             let mut snapshot = Vec::new();
             run.checkpoint(&mut snapshot).unwrap();
             let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
             assert_eq!(resumed.watermark(), run.watermark());
-            for segment in &seg.segments()[cut..] {
-                run.push_segment(segment);
-                resumed.push_segment(segment);
+            for (segment, watermark) in day_batches(&seg).skip(cut) {
+                run.push_batch(segment, watermark);
+                resumed.push_batch(segment, watermark);
             }
             assert_eq!(resumed.finish(), expect, "resumed run diverged");
             assert_eq!(
@@ -3470,14 +3447,14 @@ mod tests {
         let sim = Simulator::new(config);
         let expect = sim.simulate(&seg);
         let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-        for segment in &seg.segments()[..3] {
-            run.push_segment(segment);
+        for (segment, watermark) in day_batches(&seg).take(3) {
+            run.push_batch(segment, watermark);
         }
         let mut snapshot = Vec::new();
         run.checkpoint(&mut snapshot).unwrap();
         let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
-        for segment in &seg.segments()[3..] {
-            resumed.push_segment(segment);
+        for (segment, watermark) in day_batches(&seg).skip(3) {
+            resumed.push_batch(segment, watermark);
         }
         assert_eq!(resumed.finish(), expect);
     }

@@ -5,14 +5,12 @@
 //! across energy models (the paper prices every experiment under both the
 //! Valancius and Baliga sets).
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::{CostModel, Energy, EnergyParams, Traffic};
 use consume_local_topology::Layer;
 
 /// Bytes delivered in one scope (a swarm, a day×ISP cell, or the whole run),
 /// broken down by delivery class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ByteLedger {
     /// Total demand (= bytes consumed by viewers).
     pub demand_bytes: u64,

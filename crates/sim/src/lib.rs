@@ -79,4 +79,4 @@ pub use report::{
     DailyIspCell, Degradation, SimReport, SimWarning, SwarmDay, SwarmReport, UserTraffic,
 };
 pub use shard::{merge_shard_reports, ShardError};
-pub use source::{RetryPolicy, SessionSource, SourceError};
+pub use source::SessionSource;

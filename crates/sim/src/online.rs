@@ -61,7 +61,7 @@ use consume_local_trace::{SessionRecord, SessionStore};
 use crate::engine::{DayClose, SegmentedRun, Simulator};
 use crate::par::parallel_join;
 use crate::report::SimReport;
-use crate::source::{RetryPolicy, RetryStats, SessionSource};
+use crate::source::SessionSource;
 
 pub mod faults;
 
@@ -92,10 +92,6 @@ pub enum OnlineError {
     /// The consuming side hung up (the simulation finished or died); no
     /// further events can be delivered.
     Disconnected,
-    /// The channel is at capacity ([`OnlineSender::try_send`] only): the
-    /// event was **not** enqueued. The producer should back off and retry —
-    /// or switch to the blocking [`OnlineSender::send_session`].
-    Full,
 }
 
 impl std::fmt::Display for OnlineError {
@@ -109,7 +105,6 @@ impl std::fmt::Display for OnlineError {
                 "late session: starts at {start_secs}s, behind watermark {watermark}s"
             ),
             Self::Disconnected => write!(f, "online channel disconnected"),
-            Self::Full => write!(f, "online channel full: event not enqueued"),
         }
     }
 }
@@ -201,70 +196,6 @@ impl OnlineSender {
         self.tx
             .send(Envelope::Session(session))
             .map_err(|_| OnlineError::Disconnected)
-    }
-
-    /// Enqueues one arriving session without blocking.
-    ///
-    /// Like [`send_session`](OnlineSender::send_session) but returns
-    /// [`OnlineError::Full`] instead of waiting when the channel is at
-    /// capacity — the event is **not** enqueued and the caller may retry,
-    /// drop, or spill it. Late sessions are still rejected as
-    /// [`OnlineError::LateSession`] before the channel is touched.
-    pub fn try_send(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
-        let start_secs = session.start.as_secs();
-        if start_secs < self.watermark {
-            return Err(OnlineError::LateSession {
-                start_secs,
-                watermark: self.watermark,
-            });
-        }
-        self.tx
-            .try_send(Envelope::Session(session))
-            .map_err(|e| match e {
-                std::sync::mpsc::TrySendError::Full(_) => OnlineError::Full,
-                std::sync::mpsc::TrySendError::Disconnected(_) => OnlineError::Disconnected,
-            })
-    }
-
-    /// Enqueues one arriving session, retrying bounded backpressure per
-    /// `retry`: each [`OnlineError::Full`] costs one attempt, yields the
-    /// CPU and accounts the policy's exponential backoff in **virtual
-    /// ticks** (never wall clock — retry accounting stays deterministic
-    /// even though the draining itself is scheduler-paced). Returns what
-    /// the send cost; gives up with [`OnlineError::Full`] after
-    /// `max_attempts` full channel probes so a stalled consumer surfaces
-    /// as a typed error instead of a silent hang.
-    ///
-    /// Late sessions are rejected as [`OnlineError::LateSession`]
-    /// immediately — retrying cannot make a late event timely.
-    ///
-    /// # Errors
-    ///
-    /// [`OnlineError::Full`] after exhausting attempts,
-    /// [`OnlineError::LateSession`] / [`OnlineError::Disconnected`]
-    /// immediately.
-    pub fn send_with_retry(
-        &mut self,
-        session: SessionRecord,
-        retry: &RetryPolicy,
-    ) -> Result<RetryStats, OnlineError> {
-        let mut stats = RetryStats::default();
-        let mut failures = 0u32;
-        loop {
-            match self.try_send(session) {
-                Ok(()) => return Ok(stats),
-                Err(OnlineError::Full) => {
-                    failures += 1;
-                    if failures >= retry.max_attempts {
-                        return Err(OnlineError::Full);
-                    }
-                    stats.retries += 1;
-                    stats.waited_ticks += retry.backoff_ticks(failures);
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Promises that no later event starts before `watermark` seconds,
@@ -482,19 +413,6 @@ pub fn resume_replay(
     store: &SessionStore,
     config: &ReplayConfig,
 ) -> (SimReport, ReplayStats) {
-    resume_replay_with(run, store, config, |_| {})
-}
-
-/// [`resume_replay`] with a day-close observer: days the restored run
-/// already closed before the crash are **not** re-emitted — the observer
-/// sees exactly the closes the uninterrupted run would still have had
-/// ahead of it.
-pub fn resume_replay_with(
-    run: SegmentedRun,
-    store: &SessionStore,
-    config: &ReplayConfig,
-    mut on_day_close: impl FnMut(DayClose),
-) -> (SimReport, ReplayStats) {
     assert_eq!(
         config.resume_from,
         run.watermark(),
@@ -512,17 +430,14 @@ pub fn resume_replay_with(
     });
     let (mut stats, (report, days_closed)) = parallel_join(producer, || {
         let mut days_closed = 0u64;
-        let report = run.simulate_remaining_days(source, |close| {
-            days_closed += 1;
-            on_day_close(close);
-        });
+        let report = run.simulate_remaining_days(source, |_| days_closed += 1);
         (report, days_closed)
     });
     stats.days_closed = days_closed;
     (report, stats)
 }
 
-/// The shared producer loop of [`replay_with`] / [`resume_replay_with`]:
+/// The shared producer loop of [`replay_with`] / [`resume_replay`]:
 /// one watermark per tick, emitted just before the first event that
 /// crosses it (paced), plus trailing ticks to cover the horizon so every
 /// day closes through the same cadence. Events starting before
@@ -695,56 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_backpressure_without_blocking() {
-        let store = store();
-        let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 1);
-        // Capacity 1: the first event fits, the second is backpressure.
-        assert_eq!(tx.try_send(store.record(0)), Ok(()));
-        assert_eq!(tx.try_send(store.record(1)), Err(OnlineError::Full));
-        assert_eq!(tx.try_send(store.record(1)), Err(OnlineError::Full));
-        // Once the consumer drains, try_send succeeds again.
-        let (sent, fed) = parallel_join(
-            move || {
-                loop {
-                    match tx.try_send(store.record(1)) {
-                        Ok(()) => break,
-                        Err(OnlineError::Full) => std::thread::yield_now(),
-                        Err(e) => panic!("unexpected: {e}"),
-                    }
-                }
-                2usize
-            },
-            || {
-                let mut n = 0usize;
-                source.for_each_batch(&mut |batch, _| n += batch.len());
-                n
-            },
-        );
-        assert_eq!((sent, fed), (2, 2));
-        assert!(OnlineError::Full.to_string().contains("full"));
-    }
-
-    #[test]
-    fn try_send_rejects_late_sessions_first() {
-        let store = store();
-        let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 1);
-        tx.advance_watermark(1_000).unwrap();
-        let mut late = store.record(0);
-        late.start = consume_local_trace::SimTime(999);
-        assert_eq!(
-            tx.try_send(late),
-            Err(OnlineError::LateSession {
-                start_secs: 999,
-                watermark: 1_000
-            })
-        );
-        drop(source);
-        let mut ok = store.record(0);
-        ok.start = consume_local_trace::SimTime(5_000);
-        assert_eq!(tx.try_send(ok), Err(OnlineError::Disconnected));
-    }
-
-    #[test]
     fn replay_matches_batch_report_and_counts_the_stream() {
         let store = store();
         let sim = Simulator::new(SimConfig::default());
@@ -789,70 +654,6 @@ mod tests {
         assert!(paces.iter().all(|&s| s == 21_600.0 / 1e9));
         let days: Vec<u32> = (0..closes.len() as u32).collect();
         assert_eq!(closes, days, "days close in order, exactly once each");
-    }
-
-    #[test]
-    fn send_with_retry_gives_up_on_a_stalled_consumer() {
-        let store = store();
-        let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 1);
-        // Nothing drains `source`: the first event fills the channel and
-        // every later probe sees Full.
-        assert_eq!(
-            tx.send_with_retry(store.record(0), &RetryPolicy::new(4, 2)),
-            Ok(RetryStats::default())
-        );
-        assert_eq!(
-            tx.send_with_retry(store.record(1), &RetryPolicy::new(4, 2)),
-            Err(OnlineError::Full)
-        );
-        drop(source);
-        // A hung-up consumer is a hard error, not a retryable one.
-        assert_eq!(
-            tx.send_with_retry(store.record(1), &RetryPolicy::new(4, 2)),
-            Err(OnlineError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn send_with_retry_rejects_late_sessions_immediately() {
-        let store = store();
-        let (mut tx, _source) = channel(store.horizon_secs(), store.population_len(), 4);
-        tx.advance_watermark(1_000).unwrap();
-        let mut late = store.record(0);
-        late.start = consume_local_trace::SimTime(999);
-        assert_eq!(
-            tx.send_with_retry(late, &RetryPolicy::new(5, 1)),
-            Err(OnlineError::LateSession {
-                start_secs: 999,
-                watermark: 1_000
-            })
-        );
-    }
-
-    #[test]
-    fn send_with_retry_succeeds_once_the_consumer_drains() {
-        let store = store();
-        let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 1);
-        assert!(tx
-            .send_with_retry(store.record(0), &RetryPolicy::default())
-            .is_ok());
-        // An effectively unbounded policy outlasts any consumer pause; the
-        // retry accounting reports how rough the ride was.
-        let (sent, fed) = parallel_join(
-            move || {
-                let stats = tx
-                    .send_with_retry(store.record(1), &RetryPolicy::new(u32::MAX, 1))
-                    .expect("drains eventually");
-                assert!(stats.waited_ticks >= stats.retries);
-                2usize
-            },
-            || {
-                let mut n = 0usize;
-                source.for_each_batch(&mut |batch, _| n += batch.len());
-                n
-            },
-        );
-        assert_eq!((sent, fed), (2, 2));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Simulation results: per-swarm, per-day×ISP, per-user and total ledgers.
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_energy::EnergyParams;
 use consume_local_swarm::SwarmKey;
 use consume_local_topology::IspId;
@@ -10,7 +8,7 @@ use crate::ledger::ByteLedger;
 
 /// One day of one sub-swarm: the inputs for a per-day theory prediction
 /// (Fig. 4's theory overlay re-evaluates Eq. 12 at each day's capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwarmDay {
     /// 0-based day.
     pub day: u32,
@@ -23,7 +21,7 @@ pub struct SwarmDay {
 }
 
 /// Result for one sub-swarm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwarmReport {
     /// The sub-swarm identity.
     pub key: SwarmKey,
@@ -55,7 +53,7 @@ impl SwarmReport {
 }
 
 /// Per-user traffic totals, the carbon-credit inputs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UserTraffic {
     /// Bytes the user streamed (demand).
     pub watched_bytes: u64,
@@ -64,7 +62,7 @@ pub struct UserTraffic {
 }
 
 /// One day×ISP aggregation cell (Fig. 4's granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DailyIspCell {
     /// 0-based day.
     pub day: u32,
@@ -81,7 +79,7 @@ pub struct DailyIspCell {
 /// report so programmatic callers (sweeps, services) see them without
 /// scraping stderr, and they are deterministic: the same sessions produce
 /// the same warnings on every path, worker count and batch schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimWarning {
     /// The sessions' joint sort-key widths overflowed the packed 64-bit
     /// key (`consume_local_trace::generator::sort_key_fallback_required`;
@@ -107,7 +105,7 @@ pub enum SimWarning {
 /// is accounted where the bytes actually ended up (CDN or edge cache), and
 /// this struct records the volume that was re-routed so degradation curves
 /// can be drawn without diffing two runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Degradation {
     /// Bytes whose matched peer transfer failed because the uploader
     /// defected; receivers re-fetched them from the CDN or edge cache.
@@ -149,7 +147,7 @@ impl Degradation {
 }
 
 /// The full output of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Horizon in seconds.
     pub horizon_secs: u64,

@@ -3,8 +3,9 @@
 //! The engine itself only ever consumes **watermarked, start-ordered
 //! session batches** — it does not care whether they were materialised up
 //! front, generated a day at a time, or received over a live channel. This
-//! module names that contract as a trait so [`Simulator::simulate`] is the
-//! single entry point behind which every feeding mode meets:
+//! module names that contract as a trait so
+//! [`Simulator::simulate`](crate::Simulator::simulate) is the single entry
+//! point behind which every feeding mode meets:
 //!
 //! * [`&SessionStore`](consume_local_trace::SessionStore) — the whole
 //!   horizon as one batch (the sweep runner's share-one-store shape);
@@ -25,6 +26,13 @@
 //! contract below is exactly what the resumable per-swarm machines need to
 //! make batch boundaries invisible.
 //!
+//! This is the only source trait, and every source is infallible: it hands
+//! over all of its batches, then ends. Faults are handled where they
+//! arise instead: the online sender rejects late events with a typed
+//! [`OnlineError`](crate::online::OnlineError), a full channel blocks the
+//! producer, and a crashed consumer resumes from its last snapshot
+//! ([`crate::checkpoint`]). No driver ever retries a source.
+//!
 //! # The watermark contract
 //!
 //! [`SessionSource::for_each_batch`] hands the sink pairs
@@ -41,19 +49,13 @@
 //! not align to days or windows, and `u64::MAX` (or anything at or past
 //! the horizon) marks a final batch.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::fmt;
-
 use consume_local_trace::metro::MetroStream;
 use consume_local_trace::{SegmentStream, SegmentedStore, SessionStore, Trace};
 
-use crate::engine::Simulator;
-use crate::report::SimReport;
-
 /// A producer of watermarked, day-ordered session batches — anything
-/// [`Simulator::simulate`] can consume. See the [module docs](self) for
-/// the watermark contract implementations must uphold.
+/// [`Simulator::simulate`](crate::Simulator::simulate) can consume. See
+/// the [module docs](self) for the watermark contract implementations must
+/// uphold.
 ///
 /// `for_each_batch` takes `self` by value: a source is consumed by exactly
 /// one run. The borrowed implementations (`&SessionStore`, `&Trace`,
@@ -164,245 +166,6 @@ impl SessionSource for &mut MetroStream<'_> {
     }
 }
 
-/// A typed failure from a [`FallibleSessionSource`].
-///
-/// Transient failures are the retryable kind (a flaky upstream, a full
-/// buffer, a timed-out poll); [`RetryPolicy`] decides how many attempts a
-/// batch gets and how long the driver backs off between them — in
-/// **virtual ticks**, never wall clock, so retry behaviour is as
-/// deterministic as the rest of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceError {
-    /// A retryable failure; the same batch may be requested again.
-    Transient {
-        /// Implementation-defined code identifying the failure.
-        code: u32,
-    },
-    /// The retry policy gave up on a transient failure.
-    Exhausted {
-        /// The code of the final transient failure.
-        code: u32,
-        /// Attempts made (equals the policy's `max_attempts`).
-        attempts: u32,
-        /// Total virtual ticks spent backing off before giving up.
-        waited_ticks: u64,
-    },
-}
-
-impl fmt::Display for SourceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceError::Transient { code } => {
-                write!(f, "transient source failure (code {code})")
-            }
-            SourceError::Exhausted {
-                code,
-                attempts,
-                waited_ticks,
-            } => write!(
-                f,
-                "source failed after {attempts} attempts and {waited_ticks} backoff ticks \
-                 (last code {code})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SourceError {}
-
-/// How a driver retries [`SourceError::Transient`] failures: bounded
-/// attempts with exponential backoff measured in **virtual ticks** (the
-/// driver's own time unit — the replay tick for the online driver, a plain
-/// counter elsewhere). No wall clock is ever consulted, so a retried run
-/// is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per batch (the first try included); at least 1.
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt, doubled per further failure
-    /// (saturating).
-    pub base_backoff_ticks: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            base_backoff_ticks: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and `base_backoff_ticks`
-    /// initial backoff.
-    pub fn new(max_attempts: u32, base_backoff_ticks: u64) -> Self {
-        Self {
-            max_attempts: max_attempts.max(1),
-            base_backoff_ticks,
-        }
-    }
-
-    /// The backoff after the `attempt`-th failure (1-based):
-    /// `base · 2^(attempt−1)`, saturating.
-    pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        let doublings = attempt.saturating_sub(1).min(63);
-        self.base_backoff_ticks.saturating_mul(1u64 << doublings)
-    }
-}
-
-/// What a retried drive actually did — surfaced alongside the report by
-/// [`Simulator::try_simulate`] so callers can alert on flakiness that
-/// stayed under the give-up threshold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Transient failures that were retried (and eventually succeeded).
-    pub retries: u64,
-    /// Total virtual ticks spent backing off.
-    pub waited_ticks: u64,
-}
-
-/// A [`SessionSource`] that can fail transiently: batches are *pulled* one
-/// at a time so the driver can retry exactly the batch that failed.
-///
-/// The success contract is the watermark contract of [`SessionSource`];
-/// `Ok(None)` ends the stream. A failed `next_batch` call must be safe to
-/// retry — the source must not lose or duplicate the batch it failed to
-/// deliver.
-pub trait FallibleSessionSource {
-    /// The replay horizon in seconds.
-    fn horizon_secs(&self) -> u64;
-
-    /// Number of users the sessions' user ids index into.
-    fn population_len(&self) -> usize;
-
-    /// Pulls the next `(batch, watermark)` pair, `Ok(None)` at end of
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SourceError::Transient`] for retryable failures.
-    fn next_batch(&mut self) -> Result<Option<(SessionStore, u64)>, SourceError>;
-}
-
-/// A deterministic [`FallibleSessionSource`] for tests and harnesses:
-/// prebuilt watermarked batches, plus a script of planned transient
-/// failures per batch ordinal. Each planned failure surfaces once, then
-/// the batch is delivered — so a retrying driver drains the source exactly
-/// when its policy outlasts the longest failure run.
-#[derive(Debug)]
-pub struct ScriptedSource {
-    horizon_secs: u64,
-    population_len: usize,
-    batches: VecDeque<(SessionStore, u64)>,
-    next_ordinal: usize,
-    failures: HashMap<usize, (u32, u32)>,
-}
-
-impl ScriptedSource {
-    /// A source delivering `batches` in order under the given envelope.
-    pub fn new(
-        horizon_secs: u64,
-        population_len: usize,
-        batches: Vec<(SessionStore, u64)>,
-    ) -> Self {
-        Self {
-            horizon_secs,
-            population_len,
-            batches: batches.into(),
-            next_ordinal: 0,
-            failures: HashMap::new(),
-        }
-    }
-
-    /// Plans `times` transient failures (with `code`) before batch
-    /// `ordinal` (0-based, end-of-stream included as the ordinal one past
-    /// the last batch) is delivered.
-    pub fn fail_before(mut self, ordinal: usize, times: u32, code: u32) -> Self {
-        self.failures.insert(ordinal, (times, code));
-        self
-    }
-}
-
-impl FallibleSessionSource for ScriptedSource {
-    fn horizon_secs(&self) -> u64 {
-        self.horizon_secs
-    }
-
-    fn population_len(&self) -> usize {
-        self.population_len
-    }
-
-    fn next_batch(&mut self) -> Result<Option<(SessionStore, u64)>, SourceError> {
-        if let Some((times, code)) = self.failures.get_mut(&self.next_ordinal) {
-            if *times > 0 {
-                *times -= 1;
-                return Err(SourceError::Transient { code: *code });
-            }
-        }
-        self.next_ordinal += 1;
-        Ok(self.batches.pop_front())
-    }
-}
-
-impl Simulator {
-    /// Runs the simulation over a [`FallibleSessionSource`], retrying
-    /// transient failures per `retry`. On success the report is
-    /// byte-identical to [`Simulator::simulate`] over the same batches —
-    /// retries change only the [`RetryStats`] — because a retried batch is
-    /// re-pulled, never skipped or reordered.
-    ///
-    /// # Errors
-    ///
-    /// [`SourceError::Exhausted`] when one batch fails `max_attempts`
-    /// times in a row; the partial run is discarded.
-    pub fn try_simulate(
-        &self,
-        mut source: impl FallibleSessionSource,
-        retry: &RetryPolicy,
-    ) -> Result<(SimReport, RetryStats), SourceError> {
-        let mut run = self.begin(source.horizon_secs(), source.population_len());
-        let mut stats = RetryStats::default();
-        loop {
-            match pull_with_retry(&mut source, retry, &mut stats)? {
-                Some((batch, watermark)) => run.push_batch(&batch, watermark),
-                None => return Ok((run.finish(), stats)),
-            }
-        }
-    }
-}
-
-/// One batch pull under a retry policy: bounded attempts, exponential
-/// virtual-tick backoff accounted into `stats`.
-fn pull_with_retry(
-    source: &mut impl FallibleSessionSource,
-    retry: &RetryPolicy,
-    stats: &mut RetryStats,
-) -> Result<Option<(SessionStore, u64)>, SourceError> {
-    let mut failures = 0u32;
-    let mut waited = 0u64;
-    loop {
-        match source.next_batch() {
-            Ok(next) => return Ok(next),
-            Err(SourceError::Transient { code }) => {
-                failures += 1;
-                if failures >= retry.max_attempts {
-                    return Err(SourceError::Exhausted {
-                        code,
-                        attempts: failures,
-                        waited_ticks: waited,
-                    });
-                }
-                let backoff = retry.backoff_ticks(failures);
-                waited += backoff;
-                stats.retries += 1;
-                stats.waited_ticks += backoff;
-            }
-            Err(e @ SourceError::Exhausted { .. }) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,74 +217,5 @@ mod tests {
         let generator = TraceGenerator::new(trace.config().clone(), 5);
         let mut stream = generator.segments().unwrap();
         assert_eq!(drain(&mut stream), (horizon, population, got));
-    }
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        let p = RetryPolicy::new(10, 3);
-        assert_eq!(p.backoff_ticks(1), 3);
-        assert_eq!(p.backoff_ticks(2), 6);
-        assert_eq!(p.backoff_ticks(5), 48);
-        assert_eq!(p.backoff_ticks(200), u64::MAX); // saturated
-        assert_eq!(RetryPolicy::new(0, 1).max_attempts, 1);
-    }
-
-    fn day_batches(trace: &Trace) -> Vec<(SessionStore, u64)> {
-        SegmentedStore::from_trace(trace)
-            .segments()
-            .iter()
-            .enumerate()
-            .map(|(d, s)| (s.clone(), (d as u64 + 1) * SegmentedStore::SEGMENT_SECS))
-            .collect()
-    }
-
-    #[test]
-    fn retried_run_is_byte_identical_to_clean_run() {
-        let trace = trace();
-        let sim = Simulator::new(crate::SimConfig {
-            seed: 7,
-            ..Default::default()
-        });
-        let clean = sim.simulate(&trace);
-        // Flake twice before batch 1 and once before end-of-stream; a
-        // 3-attempt policy outlasts both.
-        let source = ScriptedSource::new(
-            trace.horizon_seconds(),
-            trace.population().len(),
-            day_batches(&trace),
-        )
-        .fail_before(1, 2, 42)
-        .fail_before(5, 1, 7);
-        let (report, stats) = sim
-            .try_simulate(source, &RetryPolicy::new(3, 10))
-            .expect("policy outlasts the scripted failures");
-        assert_eq!(report, clean, "retries must not perturb the report");
-        assert_eq!(stats.retries, 3);
-        // Batch 1: backoffs 10 + 20; end-of-stream: 10.
-        assert_eq!(stats.waited_ticks, 40);
-    }
-
-    #[test]
-    fn retry_gives_up_with_typed_exhaustion() {
-        let trace = trace();
-        let sim = Simulator::new(crate::SimConfig::default());
-        let source = ScriptedSource::new(
-            trace.horizon_seconds(),
-            trace.population().len(),
-            day_batches(&trace),
-        )
-        .fail_before(0, 99, 13);
-        let err = sim
-            .try_simulate(source, &RetryPolicy::new(2, 5))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SourceError::Exhausted {
-                code: 13,
-                attempts: 2,
-                waited_ticks: 5,
-            }
-        );
-        assert!(err.to_string().contains("after 2 attempts"));
     }
 }

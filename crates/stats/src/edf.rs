@@ -5,8 +5,6 @@
 //! and quantiles, and can render evenly or logarithmically spaced plotting
 //! series.
 
-use serde::{Deserialize, Serialize};
-
 use crate::grid;
 
 /// An empirical distribution over a set of `f64` samples.
@@ -24,7 +22,7 @@ use crate::grid;
 /// assert_eq!(edf.ccdf(2.0), 0.25);
 /// assert_eq!(edf.quantile(0.5), Some(2.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edf {
     sorted: Vec<f64>,
 }

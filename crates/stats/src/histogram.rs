@@ -3,10 +3,8 @@
 //! Used by the trace generator's sanity reports and by the examples to render
 //! terminal-friendly views of capacity and savings distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// Bucketing strategy for a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Buckets {
     /// `count` equal-width buckets over `[lo, hi)`.
     Linear {
@@ -59,7 +57,7 @@ impl std::error::Error for BucketError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: Buckets,
     counts: Vec<u64>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A one-pass (Welford) accumulator for mean/variance plus min/max.
 ///
 /// Used by the simulation engine to aggregate per-window quantities without
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// assert!((s.variance() - 1.0).abs() < 1e-12); // sample variance
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -121,7 +119,7 @@ impl OnlineStats {
 }
 
 /// A batch summary of a sample: count, mean, std-dev, extrema and quartiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of finite samples summarised.
     pub count: usize,

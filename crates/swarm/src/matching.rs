@@ -21,7 +21,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use consume_local_topology::{IspId, Layer, UserLocation};
 
@@ -51,7 +50,7 @@ pub fn closeness(a: &Peer, b: &Peer) -> Layer {
 }
 
 /// Per-peer transfer attribution for one window (bytes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerTransfer {
     /// Received from other peers.
     pub from_peers: u64,
@@ -70,7 +69,7 @@ pub struct PeerTransfer {
 /// Reusable: engines keep one outcome alive across windows and refill it
 /// through [`Matcher::match_window_into`], so the per-peer attribution vector
 /// is allocated once per swarm instead of once per window.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MatchOutcome {
     /// Bytes served by the CDN.
     pub server_bytes: u64,
@@ -222,7 +221,7 @@ pub trait Matcher {
 }
 
 /// Which matcher to instantiate (serialisable configuration surface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
     /// Closest-first managed matching (paper behaviour).
     #[default]

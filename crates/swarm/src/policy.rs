@@ -6,14 +6,12 @@
 //! phone's low-bitrate copy). Either split can be disabled to reproduce the
 //! ablation studies.
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_topology::IspId;
 use consume_local_trace::device::BitrateClass;
 use consume_local_trace::{ContentId, SessionRecord};
 
 /// Which dimensions partition a content item's viewers into sub-swarms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwarmPolicy {
     /// Peers are only matched within the same ISP (paper default: true).
     pub split_by_isp: bool,
@@ -80,7 +78,7 @@ impl SwarmPolicy {
 }
 
 /// Identity of one sub-swarm under a [`SwarmPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwarmKey {
     /// The content item.
     pub content: ContentId,

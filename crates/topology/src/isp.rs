@@ -10,13 +10,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tree::IspTopology;
 
 /// Index of an ISP within an [`IspRegistry`] (0-based; ISP-1 of the paper is
 /// index 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IspId(pub u8);
 
 impl fmt::Display for IspId {
@@ -27,7 +25,7 @@ impl fmt::Display for IspId {
 }
 
 /// One ISP: its metropolitan tree and its subscriber market share.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IspProfile {
     /// Registry identifier.
     pub id: IspId,
@@ -68,7 +66,7 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// A set of ISPs covering the modelled city, with normalised market shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IspRegistry {
     profiles: Vec<IspProfile>,
 }

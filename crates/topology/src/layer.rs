@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A layer of the ISP metropolitan tree at which two users' paths can meet.
 ///
 /// Ordered by network distance: `ExchangePoint < PointOfPresence < Core`.
 /// Peer-to-peer traffic localised at a lower layer traverses less equipment
 /// and therefore costs less energy per bit (`γ_exp < γ_pop < γ_core` in both
 /// published parameter sets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// The street-cabinet/exchange level: the last aggregation point before
     /// customer premises (345 of them for the Table III ISP).

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an exchange point within one ISP's tree (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExchangeId(pub u32);
 
 /// Identifier of a point of presence within one ISP's tree (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PopId(pub u32);
 
 impl fmt::Display for ExchangeId {
@@ -30,7 +28,7 @@ impl fmt::Display for PopId {
 /// Construct through [`IspTopology::location_of`](crate::IspTopology::location_of)
 /// (or [`IspTopology::random_location`](crate::IspTopology::random_location)),
 /// which guarantees the tree invariant `pop == parent(exchange)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserLocation {
     exchange: ExchangeId,
     pop: PopId,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::layer::Layer;
 use crate::location::{ExchangeId, PopId, UserLocation};
@@ -42,7 +41,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// One row of the paper's Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalisationRow {
     /// The tree layer.
     pub layer: Layer,
@@ -58,7 +57,7 @@ pub struct LocalisationRow {
 /// sizes balanced to within one exchange point — consistent with the paper's
 /// uniform localisation probabilities (`p_pop = 1/n_pop` presumes balanced
 /// subtrees).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IspTopology {
     n_exchanges: u32,
     n_pops: u32,

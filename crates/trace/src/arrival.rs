@@ -6,11 +6,9 @@
 //! weight (catch-up decay after broadcast) × an hour-of-day weight (evening
 //! prime time, with a weekend boost).
 
-use serde::{Deserialize, Serialize};
-
 /// Relative viewing intensity per hour of day. The default profile has the
 /// catch-up-TV prime-time hump between 19:00 and 23:00.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     weights: [f64; 24],
 }

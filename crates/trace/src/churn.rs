@@ -26,11 +26,10 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An arrival spike pinned to one simulated day: the per-item Poisson rate
 /// for `day` is multiplied by `multiplier` (e.g. 3.0 for a 3× flash crowd).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashCrowd {
     /// Day index (0-based) the spike applies to.
     pub day: u32,
@@ -43,7 +42,7 @@ pub struct FlashCrowd {
 /// The default is fully disabled (zero departure hazard, no flash crowds)
 /// and draws nothing from the RNG streams, so traces generated with the
 /// default are byte-identical to pre-churn output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// Mid-session departure hazard, in expected departures per online
     /// hour. `0.0` disables fragmentation; must be finite and ≥ 0.

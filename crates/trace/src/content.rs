@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use consume_local_stats::dist::{Categorical, Distribution};
 
@@ -11,7 +10,7 @@ use crate::popularity::Popularity;
 
 /// Identifier of a content item; doubles as its 0-based popularity rank
 /// (id 0 is the most popular item).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContentId(pub u32);
 
 impl fmt::Display for ContentId {
@@ -21,7 +20,7 @@ impl fmt::Display for ContentId {
 }
 
 /// Coarse programme genre; determines the episode duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Genre {
     /// Scripted drama (~45 min episodes).
     Drama,
@@ -72,7 +71,7 @@ impl fmt::Display for Genre {
 }
 
 /// One programme episode available for on-demand streaming.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentItem {
     /// Identifier (= popularity rank, 0-based).
     pub id: ContentId,
@@ -92,7 +91,7 @@ pub struct ContentItem {
 /// London scale this reproduces the paper's exemplars: rank 0 ≈ 147 K
 /// monthly views ("Bad Education" ≳ 100 K), rank ≈ 430 ≈ 10 K ("Question
 /// Time"), rank ≈ 3 500 ≈ 1 K ("What's to Eat").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Catalogue {
     items: Vec<ContentItem>,
     weights: Vec<f64>,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_stats::dist::Categorical;
 
 /// The device a session is watched on; fixes its streaming bitrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceClass {
     /// Phones on mobile/Wi-Fi: 800 kb/s.
     Mobile,
@@ -77,7 +75,7 @@ impl fmt::Display for DeviceClass {
 }
 
 /// A bitrate class for swarm splitting, keyed by bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitrateClass(pub u32);
 
 impl BitrateClass {

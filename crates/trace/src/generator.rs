@@ -4,7 +4,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use consume_local_stats::dist::{Categorical, Distribution, LogNormal, Poisson, TabulatedQuantile};
 use consume_local_stats::par::{parallel_map, parallel_map_slices};
@@ -24,7 +23,7 @@ use crate::time::{SimTime, SECS_PER_HOUR};
 /// Configuration of a synthetic trace. Start from a preset
 /// ([`TraceConfig::london_sep2013`]) and [`TraceConfig::scaled`] it down for
 /// experimentation; all knobs are public for custom workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Days in the traced window.
     pub days: u32,
@@ -148,7 +147,7 @@ impl TraceConfig {
 /// Named workload scales for sweeps and benchmarks: each preset is a fixed
 /// fraction of full-scale September-2013 London, chosen so experiment suites
 /// can talk about "smoke" or "large" runs instead of raw scale fractions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalePreset {
     /// ≈ 1 K users / 7 K sessions — CI smoke tests.
     Smoke,
@@ -248,7 +247,7 @@ impl From<ChurnConfigError> for TraceError {
 }
 
 /// A generated trace: the sessions plus the world they were generated from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     config: TraceConfig,
     catalogue: Catalogue,
@@ -771,7 +770,6 @@ impl TraceGenerator {
             streams,
             rng_offsets,
             next_day: 0,
-            columnarize_ms: 0.0,
         })
     }
 
@@ -983,7 +981,6 @@ pub struct SegmentStream<'g> {
     /// fan-out.
     rng_offsets: Vec<usize>,
     next_day: u32,
-    columnarize_ms: f64,
 }
 
 impl fmt::Debug for SegmentStream<'_> {
@@ -1059,13 +1056,11 @@ impl SegmentStream<'_> {
             },
         );
         let sessions = merge_session_batches(&per_item, generator.workers);
-        // lint:allow(no-wall-clock) columnarize_ms telemetry for the bench
-        // harness; never part of a trace, report, or any gated output
-        let start = std::time::Instant::now();
-        let segment =
-            SessionStore::from_sorted(&sessions, config.horizon_seconds(), self.population.len());
-        self.columnarize_ms += start.elapsed().as_secs_f64() * 1e3;
-        Some(segment)
+        Some(SessionStore::from_sorted(
+            &sessions,
+            config.horizon_seconds(),
+            self.population.len(),
+        ))
     }
 
     /// The day index the next [`SegmentStream::next_segment`] call emits
@@ -1087,13 +1082,6 @@ impl SegmentStream<'_> {
     /// The user population of this generation run.
     pub fn population(&self) -> &Population {
         &self.population
-    }
-
-    /// Accumulated wall-clock time spent columnarising emitted segments, in
-    /// milliseconds (the rest of [`SegmentStream::next_segment`]'s cost is
-    /// synthesis + merge).
-    pub fn columnarize_ms(&self) -> f64 {
-        self.columnarize_ms
     }
 }
 
@@ -1608,7 +1596,6 @@ mod tests {
         );
         assert_eq!(days, trace.config().days);
         assert_eq!(emitted.as_slice(), trace.sessions());
-        assert!(stream.columnarize_ms() >= 0.0);
 
         // The collected SegmentedStore and the segment-by-segment stream
         // agree, for any worker count.

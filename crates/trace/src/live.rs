@@ -8,7 +8,6 @@
 //! Eq. 12 asymptote).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use consume_local_stats::dist::{Distribution, LogNormal, Normal};
 use consume_local_stats::rng::SeedDerive;
@@ -21,7 +20,7 @@ use crate::session::SessionRecord;
 use crate::time::SimTime;
 
 /// Configuration of one live broadcast event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveEvent {
     /// The content item the event is broadcast as.
     pub content: ContentId,

@@ -19,10 +19,8 @@
 //! ("Question Time"), rank ≈3500 gets ≈1 K ("What's to Eat"), and the head
 //! carries enough traffic for the paper's aggregate savings bands.
 
-use serde::{Deserialize, Serialize};
-
 /// A content popularity model: how monthly sessions distribute over ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Popularity {
     /// Single power law `w(k) ∝ k^(−s)`.
     Zipf {

@@ -12,13 +12,12 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use consume_local_stats::dist::{Categorical, Distribution, Pareto};
 use consume_local_topology::{IspId, IspRegistry, UserLocation};
 
 /// Identifier of a user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 impl fmt::Display for UserId {
@@ -28,7 +27,7 @@ impl fmt::Display for UserId {
 }
 
 /// Identifier of a household (≙ one IP address in Table I terms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HouseholdId(pub u32);
 
 impl fmt::Display for HouseholdId {
@@ -43,7 +42,7 @@ const HOUSEHOLD_SIZES: [(u32, f64); 5] = [(1, 0.30), (2, 0.35), (3, 0.20), (4, 0
 
 /// One user: who they are, where they connect from, how active they are and
 /// what they like.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Identifier.
     pub id: UserId,
@@ -61,7 +60,7 @@ pub struct UserProfile {
 }
 
 /// The generated population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     users: Vec<UserProfile>,
     households: u32,

@@ -1,7 +1,5 @@
 //! The session record: one user streaming one item once.
 
-use serde::{Deserialize, Serialize};
-
 use consume_local_topology::{IspId, UserLocation};
 
 use crate::content::ContentId;
@@ -12,7 +10,7 @@ use crate::time::SimTime;
 /// One playback session, the unit record of the trace (the paper's dataset
 /// rows carry the same fields: timestamps, durations and bitrates per
 /// session, plus the user's ISP and location).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionRecord {
     /// Who watched.
     pub user: UserId,

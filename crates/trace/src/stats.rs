@@ -2,12 +2,10 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::generator::{sort_key_fallback_required, Trace};
 
 /// Aggregate statistics of a trace, the quantities behind Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Users with at least one session (Table I "Number of Users").
     pub active_users: u64,
@@ -83,7 +81,7 @@ impl TraceStats {
 
 /// The Table I reproduction: measured counts from a (possibly scaled) trace,
 /// projected back to full scale, next to the paper's published values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// Label of the column ("Sep 2013" / "July 2014" / custom).
     pub label: String,

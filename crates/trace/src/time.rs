@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in a day.
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -24,9 +22,7 @@ pub const SECS_PER_HOUR: u64 = 3_600;
 /// assert_eq!(t.hour_of_day(), 20);
 /// assert_eq!(t.second_of_hour(), 1800);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -17,10 +17,6 @@
 //! * `workers` — sweep worker threads (default: available cores, max 16);
 //! * `trace-workers` — threads inside each trace generation (default:
 //!   same as `workers`; the trace bytes are identical either way);
-//! * `segmented` — `1`/`true` to stream each trace as per-day segments
-//!   through persistent per-scenario engine runs (peak trace memory: one
-//!   day instead of the whole horizon; identical outcomes — use for
-//!   `large`/`full` presets on small machines);
 //! * `out`     — JSON output path (default `target/sweep.json`).
 
 use consume_local::prelude::*;
@@ -58,9 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(trace_workers) = arg(&args, "trace-workers") {
         config.trace_workers = Some(trace_workers.parse()?);
-    }
-    if let Some(segmented) = arg(&args, "segmented") {
-        config.segmented = matches!(segmented.as_str(), "1" | "true" | "yes");
     }
     let out_path = arg(&args, "out").unwrap_or_else(|| "target/sweep.json".into());
 

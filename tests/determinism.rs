@@ -171,8 +171,6 @@ fn sweep_runner_identical_across_worker_counts() {
             workers,
             sim_threads: 1,
             trace_workers: Some(workers),
-            segmented: false,
-            spill: true,
         })
         .unwrap()
         .run()
@@ -207,8 +205,6 @@ fn sweep_json_byte_identical_across_runs_with_fixed_seed() {
             workers: 4,
             sim_threads: 2,
             trace_workers: None,
-            segmented: false,
-            spill: true,
         })
         .unwrap()
         .run()
@@ -230,8 +226,6 @@ fn sim_threads_inside_sweep_do_not_change_results() {
             workers: 2,
             sim_threads,
             trace_workers: None,
-            segmented: false,
-            spill: true,
         })
         .unwrap()
         .run()
@@ -317,33 +311,6 @@ fn parallel_user_scatter_bit_identical_across_thread_counts() {
             "user scatter must not depend on {threads} workers"
         );
         assert_eq!(reference, report);
-    }
-}
-
-#[test]
-fn segmented_sweep_mode_identical_across_worker_counts_and_modes() {
-    let run_with = |workers: usize, segmented: bool| {
-        SweepRunner::new(SweepConfig {
-            grid: SweepGrid::ci_quick(),
-            seed: 77,
-            workers,
-            sim_threads: 1,
-            trace_workers: Some(workers),
-            segmented,
-            spill: true,
-        })
-        .unwrap()
-        .run()
-        .to_json_deterministic()
-        .render()
-    };
-    let reference = run_with(THREAD_COUNTS[0], false);
-    for &workers in &THREAD_COUNTS {
-        assert_eq!(
-            reference,
-            run_with(workers, true),
-            "segmented sweep must match the shared-store sweep at {workers} workers"
-        );
     }
 }
 
@@ -583,39 +550,6 @@ fn metro_sharded_runs_byte_identical_to_union_at_every_thread_count() {
             reference, sharded,
             "sharded metro run must match the union at {threads} threads"
         );
-    }
-}
-
-#[test]
-fn spill_toggle_byte_identical_at_every_thread_count() {
-    let trace = shared_trace();
-    let store = SessionStore::from_trace(&trace);
-    let segmented = SegmentedStore::from_trace(&trace);
-    let reference = Simulator::new(SimConfig {
-        threads: THREAD_COUNTS[0],
-        spill: false,
-        ..Default::default()
-    })
-    .simulate(&store);
-    reference.check_conservation().unwrap();
-    for &threads in &THREAD_COUNTS {
-        for spill in [false, true] {
-            let sim = Simulator::new(SimConfig {
-                threads,
-                spill,
-                ..Default::default()
-            });
-            assert_eq!(
-                reference,
-                sim.simulate(&store),
-                "spill={spill} must not change the report at {threads} threads"
-            );
-            assert_eq!(
-                reference,
-                sim.simulate(&segmented),
-                "spill={spill} segmented run must match at {threads} threads"
-            );
-        }
     }
 }
 

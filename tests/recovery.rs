@@ -168,7 +168,7 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         checkpoint::resume_latest(&path),
-        Err(CheckpointError::UnsupportedVersion { supported: 2, .. })
+        Err(CheckpointError::UnsupportedVersion { supported: 3, .. })
     ));
 
     // Bad magic.
@@ -203,6 +203,28 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
             pristine.len()
         );
     }
+
+    // A spilled-day count that disagrees with the watermark is corrupt
+    // even under a valid digest. The payload holds the watermark, closed
+    // days and spilled days as consecutive u64s (2 days sealed, none
+    // drained); claim 3 spilled days and re-seal the digest.
+    let payload = 20..pristine.len() - 8;
+    let header: Vec<u8> = [2 * DAY, 0, 2]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = pristine[payload.clone()]
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the run header is in the payload");
+    let mut bytes = pristine.clone();
+    bytes[payload.start + at + 16] = 3;
+    let digest = checkpoint::fnv1a(&bytes[payload.clone()]);
+    bytes[payload.end..].copy_from_slice(&digest.to_le_bytes());
+    assert!(matches!(
+        Simulator::resume(&mut bytes.as_slice()),
+        Err(CheckpointError::Corrupt(_))
+    ));
 
     // The pristine bytes still restore (the guards above weren't spurious).
     std::fs::write(&path, &pristine).unwrap();
