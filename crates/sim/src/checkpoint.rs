@@ -62,8 +62,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CLSNAP\r\n";
 /// spilled-day boundary and grouped day × ISP cells, and each swarm's
 /// frozen-day list. Version 3 drops the `spill` flag byte: spilling is
 /// unconditional, so the spilled-day boundary always equals the days the
-/// watermark has sealed.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// watermark has sealed. Version 4 moves per-user bytes off the swarms:
+/// the run's per-user totals (one row per user of the population, in user
+/// id order, right after the population length) replace every swarm's
+/// user list, and the active-set columns carry each session's user id,
+/// watched and uploaded bytes instead of a slot into that list.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Sanity bound on the declared payload length (1 GiB). A corrupted header
 /// cannot make the reader allocate unbounded memory: real snapshots are
@@ -356,9 +360,25 @@ impl SnapshotReader {
     ///
     /// [`CheckpointError::Truncated`] or [`CheckpointError::Corrupt`].
     pub fn take_len(&mut self, context: &'static str) -> Result<usize, CheckpointError> {
+        self.take_len_of(1, context)
+    }
+
+    /// Reads a length prefix for a sequence of fixed-size records of
+    /// `record_bytes` each, bounded by the bytes actually left, so the
+    /// caller may allocate the whole sequence before reading it: no claim
+    /// allocates more than the payload holds.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] or [`CheckpointError::Corrupt`].
+    pub fn take_len_of(
+        &mut self,
+        record_bytes: u64,
+        context: &'static str,
+    ) -> Result<usize, CheckpointError> {
         let len = self.take_u64(context)?;
         let remaining = (self.payload.len() - self.pos) as u64;
-        if len > remaining {
+        if len.saturating_mul(record_bytes) > remaining {
             return Err(CheckpointError::Corrupt("sequence length out of bounds"));
         }
         Ok(len as usize)
@@ -594,6 +614,39 @@ mod tests {
         assert_eq!(r.take_f64("e").unwrap(), 0.25);
         // A 3-element length claim with 0 bytes left must be rejected.
         assert!(matches!(r.take_len("f"), Err(CheckpointError::Corrupt(_))));
+    }
+
+    #[test]
+    fn record_length_is_bounded_by_the_bytes_left() {
+        let mut w = SnapshotWriter::new();
+        w.put_len(2);
+        w.put_u64(1);
+        w.put_u64(2);
+        w.put_len(4);
+        w.put_u64(3);
+        w.put_u64(4);
+        w.put_len(1 << 62);
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes).unwrap();
+
+        let mut r = SnapshotReader::from_reader(&mut &bytes[..]).unwrap();
+        // Two 8-byte records, with 48 bytes left: fits.
+        assert_eq!(r.take_len_of(8, "a").unwrap(), 2);
+        r.take_u64("a").unwrap();
+        r.take_u64("a").unwrap();
+        // Four 8-byte records in the 24 bytes left are too many, though
+        // four 1-byte elements would fit.
+        assert!(matches!(
+            r.take_len_of(8, "b"),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        r.take_u64("b").unwrap();
+        r.take_u64("b").unwrap();
+        // A claim whose byte size overflows `u64` is rejected, not wrapped.
+        assert!(matches!(
+            r.take_len_of(16, "c"),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     fn sample_bytes() -> Vec<u8> {

@@ -35,8 +35,7 @@
 //! per-swarm window loops of [`SegmentedRun`] make batch boundaries
 //! invisible).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 use consume_local_swarm::matching::MatchOutcome;
@@ -203,8 +202,8 @@ impl Simulator {
         SegmentedRun {
             sim: self.clone(),
             horizon_secs,
-            population_len,
             states: Vec::new(),
+            users: vec![UserTraffic::default(); population_len],
             watermark: 0,
             closed_days: 0,
             spilled_days: 0,
@@ -234,7 +233,8 @@ impl Simulator {
     fn run_store_with(
         &self,
         store: &SessionStore,
-        simulate: impl Fn(&Self, SwarmKey, &[u32], &SessionStore) -> SwarmOutput + Sync,
+        simulate: impl Fn(&Self, SwarmKey, &[u32], &SessionStore) -> (SwarmOutput, Vec<UserBytes>)
+            + Sync,
     ) -> SimReport {
         // 1. Group sessions into sub-swarms (see [`group_by_swarm`]).
         let (indices, keyed) = group_by_swarm(&self.config, store);
@@ -249,30 +249,33 @@ impl Simulator {
 
         // 3. Merge deterministically in key order (shared with the
         //    segment-sequential path).
+        let mut users = vec![UserTraffic::default(); store.population_len()];
         let parts: Vec<(SwarmKey, u64, SwarmOutput)> = outputs
             .into_iter()
             .zip(&keyed)
-            .map(|(out, (key, range))| (*key, range.len() as u64, out))
+            .map(|((out, rows), (key, range))| {
+                add_user_bytes(&mut users, &rows);
+                (*key, range.len() as u64, out)
+            })
             .collect();
         self.merge_outputs(
             store.horizon_secs(),
-            store.population_len(),
+            users,
             parts,
             Vec::new(),
             sort_key_warnings(store.sort_key_maxima()),
         )
     }
 
-    /// Merges key-ordered per-swarm outputs into the final report — the
-    /// common tail of every path ([`SegmentedRun::finish`], and through it
-    /// [`Simulator::simulate`]).
+    /// Merges key-ordered per-swarm outputs and the run's per-user totals
+    /// into the final report — the common tail of every path
+    /// ([`SegmentedRun::finish`], and through it [`Simulator::simulate`]).
     /// Day × ISP cells are collected flat and merged with one sort (no hash
-    /// map rebuild); the per-user scatter fans out over disjoint user-id
-    /// ranges (see [`scatter_users`]).
+    /// map rebuild).
     fn merge_outputs(
         &self,
         horizon: u64,
-        population_len: usize,
+        users: Vec<UserTraffic>,
         parts: Vec<(SwarmKey, u64, SwarmOutput)>,
         spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
         warnings: Vec<SimWarning>,
@@ -318,7 +321,6 @@ impl Simulator {
                 daily: daily_points,
             });
         }
-        let users = scatter_users(population_len, &parts, self.config.threads);
         daily_cells.sort_by_key(|&(day, isp, _)| (day, isp));
         // The spilled prefix is already grouped and covers strictly earlier
         // days than any live cell; appending the live groups reproduces the
@@ -352,7 +354,12 @@ impl Simulator {
     /// machine through [`SegmentedRun::push_batch`], one advance per batch
     /// that brings it work; this shape feeds the row-oracle pipeline.
     #[cfg(test)]
-    fn simulate_swarm(&self, key: SwarmKey, indices: &[u32], store: &SessionStore) -> SwarmOutput {
+    fn simulate_swarm(
+        &self,
+        key: SwarmKey,
+        indices: &[u32],
+        store: &SessionStore,
+    ) -> (SwarmOutput, Vec<UserBytes>) {
         let first = indices[0] as usize;
         let mut swarm = SwarmSim::new(
             self,
@@ -360,8 +367,10 @@ impl Simulator {
             store.start_secs()[first],
             store.device()[first].bitrate_bps(),
         );
-        swarm.advance(self, store, indices, u64::MAX, store.horizon_secs());
-        swarm.take_output()
+        let mut retired = Vec::new();
+        let horizon = store.horizon_secs();
+        swarm.advance(self, store, indices, u64::MAX, horizon, &mut retired);
+        (swarm.take_output(&mut retired), retired)
     }
 }
 
@@ -408,18 +417,28 @@ fn sealed_days(watermark: u64, horizon_secs: u64) -> u64 {
     }
 }
 
+/// One session's per-user bytes, `(user, watched, uploaded)`, handed out
+/// when the session leaves its swarm's active set and folded into the
+/// run's per-user totals ([`add_user_bytes`]).
+type UserBytes = (u32, u64, u64);
+
 /// The columnar active set of one sub-swarm: parallel per-session columns in
 /// arrival order, with the `peers`/`needs`/`budgets` columns shaped exactly
 /// as [`Matcher::match_window_into`] consumes them. Pushes append to every
 /// column; retiring compacts all columns in lockstep (order-preserving, like
-/// `Vec::retain`), and `min_end` lets a window skip the retire scan when no
-/// active session can have ended yet.
+/// `Vec::retain`) and hands each retired session's [`UserBytes`] out, and
+/// `min_end` lets a window skip the retire scan when no active session can
+/// have ended yet.
 #[derive(Debug)]
 struct ActiveSet {
     /// Session end times in seconds.
     ends: Vec<u64>,
-    /// Rank of each session's user among the swarm's sorted distinct users.
-    user_slots: Vec<u32>,
+    /// Each session's user id.
+    users: Vec<u32>,
+    /// Bytes each session has watched so far (preloaded bytes included).
+    watched: Vec<u64>,
+    /// Upload bytes each session has been credited so far.
+    uploaded: Vec<u64>,
     /// Matcher input: peer identities.
     peers: Vec<Peer>,
     /// Full per-window demand `β·Δτ/8` in bytes, preload included.
@@ -441,7 +460,9 @@ impl Default for ActiveSet {
     fn default() -> Self {
         Self {
             ends: Vec::new(),
-            user_slots: Vec::new(),
+            users: Vec::new(),
+            watched: Vec::new(),
+            uploaded: Vec::new(),
             peers: Vec::new(),
             full_demands: Vec::new(),
             demands: Vec::new(),
@@ -466,7 +487,7 @@ impl ActiveSet {
     fn push(
         &mut self,
         end: u64,
-        user_slot: u32,
+        user: u32,
         peer: Peer,
         full_demand: u64,
         demand: u64,
@@ -475,7 +496,9 @@ impl ActiveSet {
         budget: u64,
     ) {
         self.ends.push(end);
-        self.user_slots.push(user_slot);
+        self.users.push(user);
+        self.watched.push(0);
+        self.uploaded.push(0);
         self.peers.push(peer);
         self.full_demands.push(full_demand);
         self.demands.push(demand);
@@ -486,9 +509,10 @@ impl ActiveSet {
     }
 
     /// Drops every session with `end <= t`, preserving arrival order —
-    /// exactly `retain(|a| a.end > t)` over the row shape. Returns whether
-    /// the set changed; the no-op case is decided by one `min_end` compare.
-    fn retire_ended(&mut self, t: u64) -> bool {
+    /// exactly `retain(|a| a.end > t)` over the row shape — and appends each
+    /// dropped session's bytes to `retired`. Returns whether the set
+    /// changed; the no-op case is decided by one `min_end` compare.
+    fn retire_ended(&mut self, t: u64, retired: &mut Vec<UserBytes>) -> bool {
         if self.min_end > t {
             return false;
         }
@@ -496,10 +520,14 @@ impl ActiveSet {
         let mut min_end = u64::MAX;
         for r in 0..self.ends.len() {
             let end = self.ends[r];
-            if end > t {
+            if end <= t {
+                retired.push((self.users[r], self.watched[r], self.uploaded[r]));
+            } else {
                 if w != r {
                     self.ends[w] = end;
-                    self.user_slots[w] = self.user_slots[r];
+                    self.users[w] = self.users[r];
+                    self.watched[w] = self.watched[r];
+                    self.uploaded[w] = self.uploaded[r];
                     self.peers[w] = self.peers[r];
                     self.full_demands[w] = self.full_demands[r];
                     self.demands[w] = self.demands[r];
@@ -512,7 +540,9 @@ impl ActiveSet {
             }
         }
         self.ends.truncate(w);
-        self.user_slots.truncate(w);
+        self.users.truncate(w);
+        self.watched.truncate(w);
+        self.uploaded.truncate(w);
         self.peers.truncate(w);
         self.full_demands.truncate(w);
         self.demands.truncate(w);
@@ -569,7 +599,9 @@ impl MatcherSlot {
 /// The resumable per-swarm window loop: the columnar active set, the
 /// matcher (rotation/RNG state included), the current window boundary and
 /// the per-swarm accumulators, packaged so the loop can pause at a segment
-/// boundary and resume when the next day's sessions arrive.
+/// boundary and resume when the next day's sessions arrive. Per-user bytes
+/// are not among them: each active session carries its own, and hands them
+/// out when it leaves the active set.
 ///
 /// A one-batch source drives it over the whole store in one
 /// [`SwarmSim::advance`] call; [`SegmentedRun`] drives the same machine one
@@ -582,17 +614,17 @@ impl MatcherSlot {
 /// The active set is fully columnar ([`ActiveSet`]): its peer/need/budget
 /// columns feed [`Matcher::match_window_into`] as slices directly, so a
 /// steady-state window performs **zero** allocation and zero copying of
-/// window inputs — the per-window work is the matcher itself, the user
-/// accumulation and the ledger. Membership-dependent totals (demand,
-/// preload, the CDN-ineligible remainder) are cached between membership
-/// changes, and the retire scan is skipped entirely while every active
-/// session's end lies beyond the boundary (`min_end` tracking).
+/// window inputs — the per-window work is the matcher itself, the
+/// per-session byte columns and the ledger. Membership-dependent totals
+/// (demand, preload, the CDN-ineligible remainder) are cached between
+/// membership changes, and the retire scan is skipped entirely while every
+/// active session's end lies beyond the boundary (`min_end` tracking).
 ///
 /// Most windows are never matched at all: a membership run that draws no
 /// fault-injection coins and lasts two or more outcome periods is matched
 /// for one period and accounted in closed form for the rest
-/// ([`SwarmSim::start_run`]). The cycle's ledgers and weighted uploads are
-/// scratch, released with the rest when the machine goes quiescent.
+/// ([`SwarmSim::start_run`]). The cycle's ledgers are scratch, released with
+/// the rest when the machine goes quiescent.
 struct SwarmSim {
     matcher: MatcherSlot,
     /// The matcher's key-derived seed (`swarm_seed` of the run seed and the
@@ -605,12 +637,6 @@ struct SwarmSim {
     /// Sessions carried across a segment boundary, in start order; always
     /// ahead of (or equal to) `t` and behind every later segment's starts.
     carry: VecDeque<PendingSession>,
-    /// Slot lookup for the incremental dense user accumulators.
-    slot_of: HashMap<u32, u32>,
-    /// Slot → user id, in first-appearance order.
-    users: Vec<u32>,
-    /// Slot → (watched, uploaded) bytes.
-    user_acc: Vec<(u64, u64)>,
     ledger: ByteLedger,
     daily: Vec<(u32, ByteLedger)>,
     upload_ratio: f64,
@@ -638,9 +664,6 @@ struct SwarmSim {
     /// Replay scratch for [`SwarmSim::start_run`]: the ledger of each
     /// window of one outcome cycle, in rotation order.
     cycle_ledgers: Vec<ByteLedger>,
-    /// Replay scratch: per active peer, the uploads of the cycle's windows
-    /// weighted by how often the replayed windows repeat each one.
-    cycle_uploads: Vec<u64>,
     /// Fault-injection losses accumulated over the swarm's lifetime.
     degradation: Degradation,
 }
@@ -658,9 +681,6 @@ impl SwarmSim {
             active: ActiveSet::default(),
             t: SimTime(align_up(first_start_secs, sim.config.window_secs)),
             carry: VecDeque::new(),
-            slot_of: HashMap::new(),
-            users: Vec::new(),
-            user_acc: Vec::new(),
             ledger: ByteLedger::new(),
             daily: Vec::new(),
             upload_ratio: sim.config.upload.ratio_for(first_bitrate_bps).min(1.0),
@@ -677,7 +697,6 @@ impl SwarmSim {
             recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, &key),
             needs_flaked: Vec::new(),
             cycle_ledgers: Vec::new(),
-            cycle_uploads: Vec::new(),
             degradation: Degradation::default(),
         }
     }
@@ -705,18 +724,9 @@ impl SwarmSim {
         } else {
             0
         };
-        let user_slot = match self.slot_of.entry(p.user) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let slot = self.users.len() as u32;
-                self.users.push(p.user);
-                self.user_acc.push((0, 0));
-                *e.insert(slot)
-            }
-        };
         self.active.push(
             p.end,
-            user_slot,
+            p.user,
             Peer {
                 isp: p.isp,
                 location: p.location,
@@ -734,7 +744,8 @@ impl SwarmSim {
     /// store), processing every window boundary strictly below `limit` that
     /// the supplied sessions cover, and pausing at `limit` with unreached
     /// sessions moved into the carry buffer. Pass `limit = u64::MAX` for a
-    /// single full-horizon pass.
+    /// single full-horizon pass. Sessions that leave the active set append
+    /// their bytes to `retired`.
     ///
     /// The first window of each membership run — after an admission or a
     /// retirement, and the first window of every call, since a batch
@@ -749,6 +760,7 @@ impl SwarmSim {
         indices: &[u32],
         limit: u64,
         horizon: u64,
+        retired: &mut Vec<UserBytes>,
     ) {
         self.thaw(sim);
         let dt = sim.config.window_secs;
@@ -790,7 +802,7 @@ impl SwarmSim {
                 cursor.admit_until(u64::MAX, |i| carry.push_back(pending_of(i)));
                 return;
             }
-            self.sums_stale |= self.active.retire_ended(t);
+            self.sums_stale |= self.active.retire_ended(t, retired);
             let len_before_admit = self.active.len();
             // Carried sessions first: their starts precede every session of
             // the current segment, so admission order stays start-ordered.
@@ -854,7 +866,7 @@ impl SwarmSim {
     /// run's outcomes cycle through its first `P` windows: those are
     /// matched as usual and the other `k − P` accounted in closed form —
     /// each day chunk's ledger is `Σ_r count_r × ledger_r` over the cycle's
-    /// rotations, each user's watched bytes grow by its full demand per
+    /// rotations, each session's watched bytes grow by its full demand per
     /// window and its uploads by `Σ_r count_r × upload_r` — before the
     /// matcher skips them. Every total is a commutative `u64` sum, so the
     /// bytes equal `k` matched windows exactly. Otherwise only the first
@@ -873,8 +885,6 @@ impl SwarmSim {
         let recurrences = |j: u64, r: u64| j / period + u64::from(r < j % period);
         self.cycle_ledgers.clear();
         self.cycle_ledgers.push(first);
-        self.cycle_uploads.clear();
-        self.cycle_uploads.resize(self.active.len(), 0);
         for r in 0..period {
             if r > 0 {
                 let window_ledger = self.step_window(sim, t + r * dt);
@@ -883,20 +893,17 @@ impl SwarmSim {
             }
             // Full cooperation (or a lone peer) never voids an upload.
             let count = recurrences(replayed, r);
-            for (acc, p) in self.cycle_uploads.iter_mut().zip(&self.outcome.per_peer) {
-                *acc += count * p.uploaded;
+            for (credited, p) in self.active.uploaded.iter_mut().zip(&self.outcome.per_peer) {
+                *credited += count * p.uploaded;
             }
         }
-        for ((&slot, &full_demand), &uploaded) in self
+        for (watched, &full_demand) in self
             .active
-            .user_slots
-            .iter()
+            .watched
+            .iter_mut()
             .zip(&self.active.full_demands)
-            .zip(&self.cycle_uploads)
         {
-            let acc = &mut self.user_acc[slot as usize];
-            acc.0 += full_demand * replayed;
-            acc.1 += uploaded;
+            *watched += full_demand * replayed;
         }
 
         // Chunk the replayed windows by the day each starts in (windows
@@ -920,8 +927,8 @@ impl SwarmSim {
     }
 
     /// Matches window `t` of the current active set and accounts it into
-    /// the per-user accumulators and the degradation tally, returning the
-    /// window's ledger for [`SwarmSim::book`].
+    /// the per-session byte columns and the degradation tally, returning
+    /// the window's ledger for [`SwarmSim::book`].
     fn step_window(&mut self, sim: &Simulator, t: u64) -> ByteLedger {
         // Peer 0 (earliest joiner — the columns preserve arrival order)
         // is the fresh fetcher. The CDN-side "ineligible" remainder
@@ -952,13 +959,7 @@ impl SwarmSim {
         if cooperation < 1.0 {
             for k in 1..self.active.len() {
                 let need = self.active.needs[k];
-                if need > 0
-                    && defects(
-                        self.recv_defect_seed,
-                        self.users[self.active.user_slots[k] as usize],
-                        t,
-                        cooperation,
-                    )
+                if need > 0 && defects(self.recv_defect_seed, self.active.users[k], t, cooperation)
                 {
                     if !flaked {
                         self.needs_flaked.clear();
@@ -987,34 +988,31 @@ impl SwarmSim {
         // Fault injection: a matched uploader may silently defect this
         // window (deterministic hash of swarm/user/window — see
         // `defects`). Its transfers fail, its upload credit is void, and
-        // the receivers' bytes fall back to the CDN/cache. The user
-        // accumulation pass therefore runs *before* the ledger so the
-        // failed volume can be re-routed. The matcher's outcome itself
-        // is never mutated: a replayed run reads its per-peer uploads.
+        // the receivers' bytes fall back to the CDN/cache. The per-session
+        // byte pass therefore runs *before* the ledger so the failed volume
+        // can be re-routed. The matcher's outcome itself is never mutated:
+        // a replayed run reads its per-peer uploads.
         let mut failed_total = 0u64;
         let mut failed_by_layer = [0u64; 3];
-        for (k, (&slot, &full_demand)) in self
-            .active
-            .user_slots
-            .iter()
-            .zip(&self.active.full_demands)
-            .enumerate()
+        debug_assert_eq!(self.outcome.per_peer.len(), self.active.len());
+        let active = &mut self.active;
+        for ((((watched, credited), &full_demand), &user), peer) in active
+            .watched
+            .iter_mut()
+            .zip(&mut active.uploaded)
+            .zip(&active.full_demands)
+            .zip(&active.users)
+            .zip(&self.outcome.per_peer)
         {
-            let acc = &mut self.user_acc[slot as usize];
             // Users watch their full demand (preloaded bytes included).
-            acc.0 += full_demand;
-            let uploaded = self.outcome.per_peer[k].uploaded;
-            if uploaded > 0 && defects(self.defect_seed, self.users[slot as usize], t, cooperation)
-            {
-                failed_total += uploaded;
-                for (f, u) in failed_by_layer
-                    .iter_mut()
-                    .zip(self.outcome.per_peer[k].uploaded_by_layer)
-                {
+            *watched += full_demand;
+            if peer.uploaded > 0 && defects(self.defect_seed, user, t, cooperation) {
+                failed_total += peer.uploaded;
+                for (f, u) in failed_by_layer.iter_mut().zip(peer.uploaded_by_layer) {
                     *f += u;
                 }
             } else {
-                acc.1 += uploaded;
+                *credited += peer.uploaded;
             }
         }
         if failed_total > 0 || failed_demand > 0 {
@@ -1073,25 +1071,17 @@ impl SwarmSim {
         }
     }
 
-    /// Extracts the swarm's output, leaving the machine empty: users come
-    /// out id-sorted (as the old presorted dense-slot scheme emitted them)
-    /// and users who accumulated nothing — sessions never spanning a window
-    /// boundary — are dropped. Taking `&mut self` (instead of `self`) lets
+    /// Extracts the swarm's output, leaving the machine empty: the sessions
+    /// still active (those running past the horizon) append their bytes to
+    /// `retired`. Taking `&mut self` (instead of `self`) lets
     /// [`SegmentedRun::finish_days`] drain and extract in one parallel pass
     /// over its state chunks.
-    fn take_output(&mut self) -> SwarmOutput {
-        let mut users: Vec<(u32, u64, u64)> = std::mem::take(&mut self.users)
-            .into_iter()
-            .zip(std::mem::take(&mut self.user_acc))
-            .filter(|&(_, acc)| acc != (0, 0))
-            .map(|(u, (w, up))| (u, w, up))
-            .collect();
-        users.sort_unstable_by_key(|&(u, _, _)| u);
+    fn take_output(&mut self, retired: &mut Vec<UserBytes>) -> SwarmOutput {
+        self.active.retire_ended(u64::MAX, retired);
         SwarmOutput {
             ledger: std::mem::take(&mut self.ledger),
             frozen: Vec::new(),
             daily: std::mem::take(&mut self.daily),
-            users,
             upload_ratio: self.upload_ratio,
             degradation: std::mem::take(&mut self.degradation),
         }
@@ -1115,20 +1105,20 @@ impl SwarmSim {
     }
 
     /// What [`cost_chunks`] charges for the final drain and
-    /// [`SwarmSim::take_output`]: one for the visit plus every user the
-    /// output sorts and every session still active or carried.
+    /// [`SwarmSim::take_output`]: one for the visit plus every session
+    /// still active or carried.
     fn finish_cost(&self) -> u64 {
-        (1 + self.users.len() + self.active.len() + self.carry.len()) as u64
+        (1 + self.active.len() + self.carry.len()) as u64
     }
 
     /// Compacts a quiescent machine to its dormant form: window-loop
-    /// scratch released, matcher reduced to its checkpoint word, the slot
-    /// lookup dropped and the surviving accumulators trimmed to size.
-    /// Everything discarded is derived state a checkpoint restore already
-    /// recomputes or the next admission regrows, so dormancy cannot affect
-    /// results — only the resident footprint. Hundreds of thousands of
-    /// machines persist across a full-scale run but only a day's worth are
-    /// ever mid-session, so this is the per-swarm RSS lever.
+    /// scratch released, matcher reduced to its checkpoint word and the
+    /// daily list trimmed to size. Everything discarded is derived state a
+    /// checkpoint restore already recomputes or the next admission regrows,
+    /// so dormancy cannot affect results — only the resident footprint.
+    /// Hundreds of thousands of machines persist across a full-scale run
+    /// but only a day's worth are ever mid-session, so this is the
+    /// per-swarm RSS lever.
     fn freeze(&mut self) {
         debug_assert!(self.is_quiescent());
         self.active = ActiveSet::default();
@@ -1136,23 +1126,18 @@ impl SwarmSim {
         self.outcome = MatchOutcome::default();
         self.needs_flaked = Vec::new();
         self.cycle_ledgers = Vec::new();
-        self.cycle_uploads = Vec::new();
         if let MatcherSlot::Live(m) = &self.matcher {
             self.matcher = MatcherSlot::Dormant {
                 word: m.checkpoint_word(),
             };
         }
-        self.slot_of = HashMap::new();
-        self.users.shrink_to_fit();
-        self.user_acc.shrink_to_fit();
         self.daily.shrink_to_fit();
     }
 
     /// Reactivates a dormant machine, rebuilding the derived state
     /// [`SwarmSim::freeze`] dropped exactly as [`Simulator::resume`]
-    /// rebuilds it from a snapshot: matcher from seed + restored word, slot
-    /// lookup from the user list, membership sums marked stale. A live
-    /// machine is untouched.
+    /// rebuilds a live one from a snapshot: matcher from seed + restored
+    /// word, membership sums marked stale. A live machine is untouched.
     fn thaw(&mut self, sim: &Simulator) {
         let MatcherSlot::Dormant { word } = self.matcher else {
             return;
@@ -1160,12 +1145,6 @@ impl SwarmSim {
         let mut matcher = sim.config.matcher.build(self.matcher_seed);
         matcher.restore_word(word);
         self.matcher = MatcherSlot::Live(matcher);
-        self.slot_of = self
-            .users
-            .iter()
-            .enumerate()
-            .map(|(slot, &u)| (u, slot as u32))
-            .collect();
         self.sums_stale = true;
     }
 }
@@ -1263,7 +1242,6 @@ impl std::fmt::Debug for SwarmSim {
             .field("t", &self.t)
             .field("active", &self.active.len())
             .field("carry", &self.carry.len())
-            .field("users", &self.users.len())
             .finish_non_exhaustive()
     }
 }
@@ -1283,9 +1261,13 @@ impl std::fmt::Debug for SwarmSim {
 pub struct SegmentedRun {
     sim: Simulator,
     horizon_secs: u64,
-    population_len: usize,
     /// Key-sorted persistent per-swarm machines.
     states: Vec<SwarmState>,
+    /// Per-user totals of every session that has left its swarm's active
+    /// set, one per user of the population, indexed by user id; sessions
+    /// still active hold their bytes in their machine's [`ActiveSet`]
+    /// columns.
+    users: Vec<UserTraffic>,
     /// The time every pushed session so far starts strictly before, and no
     /// future session may start before (monotone).
     watermark: u64,
@@ -1347,9 +1329,9 @@ impl SegmentedRun {
         );
         let (s, u, c) = batch.sort_key_maxima();
         assert!(
-            batch.is_empty() || (u as usize) < self.population_len,
+            batch.is_empty() || (u as usize) < self.users.len(),
             "batch user id {u} is outside the population of {} users",
-            self.population_len
+            self.users.len()
         );
         self.max_start_secs = self.max_start_secs.max(s);
         self.max_user = self.max_user.max(u);
@@ -1409,29 +1391,33 @@ impl SegmentedRun {
 
         // 4. Advance every machine with work, in parallel over disjoint
         //    cost-balanced chunks (slot-ordered: the final state of every
-        //    machine is independent of which thread ran it).
+        //    machine is independent of which thread ran it). Each chunk
+        //    lists the bytes of the sessions its machines retired, and the
+        //    lists fold into the per-user totals once the pass is over.
         let offsets = cost_chunks(&costs, self.sim.config.threads);
         let sim = &self.sim;
         let horizon = self.horizon_secs;
-        parallel_map_slices(
+        let retired = parallel_map_slices(
             &mut self.states,
             &offsets,
             sim.config.threads,
             |ci, chunk| {
                 let base = offsets[ci];
+                let mut retired = Vec::new();
                 for (j, state) in chunk.iter_mut().enumerate() {
                     if costs[base + j] == 0 {
                         continue;
                     }
-                    state
-                        .swarm
-                        .advance(sim, batch, work[base + j], limit, horizon);
-                    if state.swarm.is_quiescent() {
-                        state.swarm.freeze();
+                    let swarm = &mut state.swarm;
+                    swarm.advance(sim, batch, work[base + j], limit, horizon, &mut retired);
+                    if swarm.is_quiescent() {
+                        swarm.freeze();
                     }
                 }
+                retired
             },
         );
+        add_user_bytes(&mut self.users, retired.iter().flatten());
         self.spill_sealed_days();
     }
 
@@ -1522,8 +1508,8 @@ impl SegmentedRun {
         let SegmentedRun {
             sim,
             horizon_secs,
-            population_len,
             mut states,
+            mut users,
             closed_days,
             spilled_cells,
             max_start_secs,
@@ -1532,27 +1518,28 @@ impl SegmentedRun {
             ..
         } = self;
         // Drain and extract in one parallel pass: `take_output` leaves each
-        // machine empty, so the per-swarm user sort runs on the workers.
-        let drain_store = SessionStore::from_records(&[], horizon_secs, 0);
+        // machine empty and hands out the bytes of the sessions still
+        // active at the horizon, which fold in with the drain's retirees.
+        let drain = SessionStore::from_records(&[], horizon_secs, 0);
         let costs: Vec<u64> = states.iter().map(|s| s.swarm.finish_cost()).collect();
         let offsets = cost_chunks(&costs, sim.config.threads);
-        let chunked: Vec<Vec<(SwarmKey, u64, SwarmOutput)>> =
-            parallel_map_slices(&mut states, &offsets, sim.config.threads, |_, chunk| {
-                chunk
-                    .iter_mut()
-                    .map(|state| {
-                        if !state.swarm.is_quiescent() {
-                            state
-                                .swarm
-                                .advance(&sim, &drain_store, &[], u64::MAX, horizon_secs);
-                        }
-                        let mut out = state.swarm.take_output();
-                        out.frozen = std::mem::take(&mut state.frozen);
-                        (state.key, state.sessions, out)
-                    })
-                    .collect()
-            });
-        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = chunked.into_iter().flatten().collect();
+        let chunked = parallel_map_slices(&mut states, &offsets, sim.config.threads, |_, chunk| {
+            let mut parts = Vec::with_capacity(chunk.len());
+            let mut retired = Vec::new();
+            for state in chunk {
+                let swarm = &mut state.swarm;
+                if !swarm.is_quiescent() {
+                    swarm.advance(&sim, &drain, &[], u64::MAX, horizon_secs, &mut retired);
+                }
+                let mut out = swarm.take_output(&mut retired);
+                out.frozen = std::mem::take(&mut state.frozen);
+                parts.push((state.key, state.sessions, out));
+            }
+            (parts, retired)
+        });
+        let (parts, retired): (Vec<_>, Vec<_>) = chunked.into_iter().unzip();
+        add_user_bytes(&mut users, retired.iter().flatten());
+        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = parts.into_iter().flatten().collect();
 
         // Close the days the watermark never sealed, from the final
         // (drained) per-swarm ledgers — chunk order is state order, so the
@@ -1587,7 +1574,7 @@ impl SegmentedRun {
 
         sim.merge_outputs(
             horizon_secs,
-            population_len,
+            users,
             parts,
             spilled_cells,
             sort_key_warnings((max_start_secs, max_user, max_content)),
@@ -1627,10 +1614,11 @@ impl SegmentedRun {
 
     /// Serialises the run's complete resumable state as one versioned
     /// snapshot (see [`crate::checkpoint`] for the envelope): configuration
-    /// and horizon, run-level counters, and every swarm machine —
-    /// active-set columns, carried sessions, matcher state word,
-    /// accumulated ledgers and per-user accounting. [`Simulator::resume`]
-    /// inverts it; the restored run continues byte-identically.
+    /// and horizon, the per-user totals (one row per user, in user id
+    /// order), run-level counters and every swarm machine — active-set
+    /// columns with their per-session bytes, carried sessions, matcher
+    /// state word and accumulated ledgers. [`Simulator::resume`] inverts
+    /// it; the restored run continues byte-identically.
     ///
     /// Call at a batch boundary (between [`SegmentedRun::push_batch`]
     /// calls) — mid-batch there is no coherent state to capture.
@@ -1642,7 +1630,11 @@ impl SegmentedRun {
         let mut w = SnapshotWriter::new();
         put_config(&mut w, &self.sim.config);
         w.put_u64(self.horizon_secs);
-        w.put_u64(self.population_len as u64);
+        w.put_len(self.users.len());
+        for t in &self.users {
+            w.put_u64(t.watched_bytes);
+            w.put_u64(t.uploaded_bytes);
+        }
         w.put_u64(self.watermark);
         w.put_u64(self.closed_days);
         w.put_u64(self.spilled_days);
@@ -1687,25 +1679,33 @@ impl Simulator {
     /// uninterrupted run.
     ///
     /// Derived state the snapshot omits — matcher scratch, cached
-    /// membership sums, slot lookup tables, the edge-cache membership bit —
-    /// is recomputed here; none of it affects outcomes (pinned by
-    /// `tests/recovery.rs`).
+    /// membership sums, the edge-cache membership bit — is recomputed here;
+    /// none of it affects outcomes (pinned by `tests/recovery.rs`). A
+    /// machine with no active or carried sessions comes back dormant, as
+    /// the donor left it.
     ///
     /// # Errors
     ///
     /// Any [`CheckpointError`]: envelope violations from the reader,
     /// [`CheckpointError::Corrupt`] for structurally invalid payloads
-    /// (unknown tags, out-of-order keys, dangling slot references, an
-    /// invalid configuration).
+    /// (unknown tags, out-of-order keys, a population with more rows than
+    /// the payload holds, user ids outside the population, an invalid
+    /// configuration).
     pub fn resume(input: &mut impl Read) -> Result<SegmentedRun, CheckpointError> {
         let mut r = SnapshotReader::from_reader(input)?;
         let config = take_config(&mut r)?;
         let sim = Simulator::try_new(config)
             .map_err(|_| CheckpointError::Corrupt("invalid configuration"))?;
         let horizon_secs = r.take_u64("horizon")?;
-        let population_len = r.take_u64("population length")?;
-        if population_len > 1 << 32 {
-            return Err(CheckpointError::Corrupt("population length out of bounds"));
+        // Each user's totals take 16 payload bytes, so the population is
+        // bounded by the bytes left before anything is allocated for it.
+        let population_len = r.take_len_of(16, "population length")?;
+        let mut users = Vec::with_capacity(population_len);
+        for _ in 0..population_len {
+            users.push(UserTraffic {
+                watched_bytes: r.take_u64("watched bytes")?,
+                uploaded_bytes: r.take_u64("uploaded bytes")?,
+            });
         }
         let watermark = r.take_u64("watermark")?;
         let closed_days = r.take_u64("closed days")?;
@@ -1763,7 +1763,7 @@ impl Simulator {
                     peer_windows: r.take_u64("frozen day")?,
                 });
             }
-            let swarm = take_swarm(&mut r, &sim, &key)?;
+            let swarm = take_swarm(&mut r, &sim, &key, population_len)?;
             states.push(SwarmState {
                 key,
                 sessions,
@@ -1775,8 +1775,8 @@ impl Simulator {
         Ok(SegmentedRun {
             sim,
             horizon_secs,
-            population_len: population_len as usize,
             states,
+            users,
             watermark,
             closed_days,
             spilled_days,
@@ -1967,20 +1967,18 @@ fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
         w.put_u32(*day);
         put_ledger(w, ledger);
     }
-    w.put_len(s.users.len());
-    for &u in &s.users {
-        w.put_u32(u);
-    }
-    for &(watched, uploaded) in &s.user_acc {
-        w.put_u64(watched);
-        w.put_u64(uploaded);
-    }
     w.put_len(s.active.len());
     for &v in &s.active.ends {
         w.put_u64(v);
     }
-    for &v in &s.active.user_slots {
+    for &v in &s.active.users {
         w.put_u32(v);
+    }
+    for &v in &s.active.watched {
+        w.put_u64(v);
+    }
+    for &v in &s.active.uploaded {
+        w.put_u64(v);
     }
     for p in &s.active.peers {
         put_peer(w, p);
@@ -2012,10 +2010,21 @@ fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
     }
 }
 
+/// Reads a user id, rejecting one that does not index the run's per-user
+/// totals.
+fn take_user(r: &mut SnapshotReader, population_len: usize) -> Result<u32, CheckpointError> {
+    let user = r.take_u32("user id")?;
+    if user as usize >= population_len {
+        return Err(CheckpointError::Corrupt("user id outside the population"));
+    }
+    Ok(user)
+}
+
 fn take_swarm(
     r: &mut SnapshotReader,
     sim: &Simulator,
     key: &SwarmKey,
+    population_len: usize,
 ) -> Result<SwarmSim, CheckpointError> {
     let word = r.take_u64("matcher word")?;
     let t = r.take_u64("window boundary")?;
@@ -2044,33 +2053,19 @@ fn take_swarm(
         daily.push((day, take_ledger(r)?));
     }
 
-    let users_len = r.take_len("user list")?;
-    let mut users = Vec::with_capacity(users_len);
-    for _ in 0..users_len {
-        users.push(r.take_u32("user id")?);
-    }
-    let mut user_acc = Vec::with_capacity(users_len);
-    for _ in 0..users_len {
-        user_acc.push((r.take_u64("watched bytes")?, r.take_u64("uploaded bytes")?));
-    }
-    let mut slot_of = HashMap::with_capacity(users_len);
-    for (slot, &u) in users.iter().enumerate() {
-        if slot_of.insert(u, slot as u32).is_some() {
-            return Err(CheckpointError::Corrupt("duplicate user id"));
-        }
-    }
-
     let active_len = r.take_len("active set")?;
     let mut active = ActiveSet::default();
     for _ in 0..active_len {
         active.ends.push(r.take_u64("active ends")?);
     }
     for _ in 0..active_len {
-        let slot = r.take_u32("active user slots")?;
-        if slot as usize >= users.len() {
-            return Err(CheckpointError::Corrupt("user slot out of bounds"));
-        }
-        active.user_slots.push(slot);
+        active.users.push(take_user(r, population_len)?);
+    }
+    for _ in 0..active_len {
+        active.watched.push(r.take_u64("active watched bytes")?);
+    }
+    for _ in 0..active_len {
+        active.uploaded.push(r.take_u64("active uploaded bytes")?);
     }
     for _ in 0..active_len {
         active.peers.push(take_peer(r)?);
@@ -2097,7 +2092,7 @@ fn take_swarm(
     for _ in 0..carry_len {
         let start = r.take_u64("carry start")?;
         let end = r.take_u64("carry end")?;
-        let user = r.take_u32("carry user")?;
+        let user = take_user(r, population_len)?;
         let bitrate_bps = r.take_u32("carry bitrate")?;
         let isp = IspId(r.take_u8("carry isp")?);
         let exchange = ExchangeId(r.take_u32("carry exchange")?);
@@ -2119,17 +2114,21 @@ fn take_swarm(
     }
 
     let matcher_seed = swarm_seed(sim.config.seed, key);
-    let mut matcher = sim.config.matcher.build(matcher_seed);
-    matcher.restore_word(word);
+    // A quiescent machine comes back dormant, exactly as `freeze` left it
+    // in the donor; `thaw` builds the same matcher when a session arrives.
+    let matcher = if active.is_empty() && carry.is_empty() {
+        MatcherSlot::Dormant { word }
+    } else {
+        let mut matcher = sim.config.matcher.build(matcher_seed);
+        matcher.restore_word(word);
+        MatcherSlot::Live(matcher)
+    };
     Ok(SwarmSim {
-        matcher: MatcherSlot::Live(matcher),
+        matcher,
         matcher_seed,
         active,
         t: SimTime(t),
         carry,
-        slot_of,
-        users,
-        user_acc,
         ledger,
         daily,
         upload_ratio,
@@ -2146,48 +2145,20 @@ fn take_swarm(
         recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, key),
         needs_flaked: Vec::new(),
         cycle_ledgers: Vec::new(),
-        cycle_uploads: Vec::new(),
         degradation,
     })
 }
 
-/// Scatters the per-swarm `(user, watched, uploaded)` lists into the dense
-/// per-user traffic vector, fanned out over disjoint contiguous user-id
-/// ranges via [`parallel_map_slices`]. Each list is user-sorted, so every
-/// range applies exactly its own sub-slice of every list; all additions for
-/// a given user happen on one thread, in swarm-key order — the result is
-/// **byte-identical for any worker count** (pinned in
-/// `tests/determinism.rs`). This was the last serial piece of the engine's
-/// merge phase.
-fn scatter_users(
-    population_len: usize,
-    parts: &[(SwarmKey, u64, SwarmOutput)],
-    workers: usize,
-) -> Vec<UserTraffic> {
-    let mut users = vec![UserTraffic::default(); population_len];
-    if population_len == 0 {
-        return users;
+/// Adds sessions' [`UserBytes`] to the run's per-user totals. Every total
+/// is a `u64` sum, so neither the order of the rows nor which chunk listed
+/// them can move a byte: the totals are the same at any thread count,
+/// batch schedule and resume point.
+fn add_user_bytes<'a>(users: &mut [UserTraffic], rows: impl IntoIterator<Item = &'a UserBytes>) {
+    for &(user, watched, uploaded) in rows {
+        let total = &mut users[user as usize];
+        total.watched_bytes += watched;
+        total.uploaded_bytes += uploaded;
     }
-    let workers = workers.max(1).min(population_len);
-    let chunk = population_len.div_ceil(workers);
-    let offsets: Vec<usize> = (0..=workers)
-        .map(|w| (w * chunk).min(population_len))
-        .collect();
-    parallel_map_slices(&mut users, &offsets, workers, |ci, slice| {
-        let lo = offsets[ci];
-        let hi = offsets[ci + 1];
-        for (_, _, out) in parts {
-            let list = &out.users;
-            let a = list.partition_point(|&(u, _, _)| (u as usize) < lo);
-            let b = a + list[a..].partition_point(|&(u, _, _)| (u as usize) < hi);
-            for &(u, watched, uploaded) in &list[a..b] {
-                let t = &mut slice[u as usize - lo];
-                t.watched_bytes += watched;
-                t.uploaded_bytes += uploaded;
-            }
-        }
-    });
-    users
 }
 
 /// Groups a store's sessions into sub-swarms with one stable key sort
@@ -2317,7 +2288,6 @@ struct SwarmOutput {
     /// entry (empty on the test-only single-advance path).
     frozen: Vec<FrozenDay>,
     daily: Vec<(u32, ByteLedger)>,
-    users: Vec<(u32, u64, u64)>,
     upload_ratio: f64,
     degradation: Degradation,
 }
@@ -2351,14 +2321,15 @@ struct ActiveSession {
 #[cfg(test)]
 impl Simulator {
     /// The pre-SoA row-based window loop, kept verbatim as the oracle for
-    /// property tests: materialises [`ActiveSession`] rows and rebuilds the
-    /// matcher's peer/need/budget inputs every window.
+    /// property tests: materialises [`ActiveSession`] rows, rebuilds the
+    /// matcher's peer/need/budget inputs every window and keeps its own
+    /// per-user accumulators over the swarm's sorted distinct users.
     fn simulate_swarm_rows(
         &self,
         key: SwarmKey,
         indices: &[u32],
         store: &SessionStore,
-    ) -> SwarmOutput {
+    ) -> (SwarmOutput, Vec<UserBytes>) {
         let dt = self.config.window_secs;
         let starts_col = store.start_secs();
         let durations_col = store.duration_secs();
@@ -2537,13 +2508,12 @@ impl Simulator {
             t = t + dt;
         }
 
-        out.users = swarm_users
+        let users = swarm_users
             .into_iter()
             .zip(user_acc)
-            .filter(|&(_, acc)| acc != (0, 0))
             .map(|(u, (w, up))| (u, w, up))
             .collect();
-        out
+        (out, users)
     }
 }
 
@@ -3059,11 +3029,16 @@ mod tests {
             /// rotation cycles and cross midnight, and a random batch
             /// schedule pauses runs mid-cycle. Partial participation and
             /// unsplit swarms (mixed ISPs and bitrates) make the cycle's
-            /// window ledgers differ by rotation, not only its uploads.
+            /// window ledgers differ by rotation, not only its uploads. At
+            /// a random batch boundary the run is checkpointed and resumed
+            /// from the snapshot, so the per-user rows the oracle keeps by
+            /// itself also pin the snapshot's per-session and per-user
+            /// bytes.
             #[test]
             fn prop_replayed_runs_match_row_oracle_under_any_batch_schedule(
                 records in long_sessions_strategy(),
                 cuts in proptest::collection::vec(0u64..LONG_HORIZON, 0..8),
+                resume_pick in 0usize..9,
                 window_secs in 10u64..120,
                 cooperation_pct in 50u64..100,
                 participation_pct in 30u64..=100,
@@ -3074,6 +3049,7 @@ mod tests {
                 let mut watermarks = cuts;
                 watermarks.sort_unstable();
                 watermarks.push(LONG_HORIZON);
+                let resume_at = resume_pick % watermarks.len();
                 for cooperation_rate in [1.0, cooperation_pct as f64 / 100.0] {
                     for threads in [1, 2] {
                         let sim = Simulator::new(SimConfig {
@@ -3094,7 +3070,12 @@ mod tests {
                         });
                         let mut run = sim.begin(LONG_HORIZON, 12);
                         let mut from = 0;
-                        for &watermark in &watermarks {
+                        for (i, &watermark) in watermarks.iter().enumerate() {
+                            if i == resume_at {
+                                let mut snapshot = Vec::new();
+                                run.checkpoint(&mut snapshot).unwrap();
+                                run = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+                            }
                             let batch: Vec<SessionRecord> = records
                                 .iter()
                                 .filter(|r| (from..watermark).contains(&r.start.as_secs()))

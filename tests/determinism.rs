@@ -287,11 +287,11 @@ fn segmented_engine_bit_identical_across_thread_counts_and_to_monolithic() {
 
 #[test]
 fn parallel_user_scatter_bit_identical_across_thread_counts() {
-    // The engine-side merge fans the per-user traffic scatter over
-    // disjoint user-id ranges (`parallel_map_slices`); the per-user
-    // vectors — and with them the whole report — must be byte-identical at
-    // 1/2/8 workers. (`SimConfig::threads` drives the scatter width, so
-    // this pins the scatter specifically via the users vector.)
+    // Each push's chunks list the bytes of the sessions their machines
+    // retired, and the lists fold into the run's per-user totals after
+    // the parallel pass; `SimConfig::threads` decides which chunk lists a
+    // session. The per-user vectors — and with them the whole report —
+    // must be byte-identical at 1/2/8 workers.
     let trace = shared_trace();
     let store = SessionStore::from_trace(&trace);
     let reference = Simulator::new(SimConfig {
@@ -308,7 +308,7 @@ fn parallel_user_scatter_bit_identical_across_thread_counts() {
         .simulate(&store);
         assert_eq!(
             reference.users, report.users,
-            "user scatter must not depend on {threads} workers"
+            "per-user totals must not depend on {threads} workers"
         );
         assert_eq!(reference, report);
     }

@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use consume_local::prelude::*;
 use consume_local::sim::checkpoint::{self, CheckpointError};
 use consume_local::sim::online::faults::{batch_schedule, crash_and_recover, CrashPlan};
+use consume_local::trace::{SessionRecord, SimTime, UserId};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const DAY: u64 = 86_400;
@@ -153,6 +154,39 @@ fn write_mid_run_snapshot(sim: &Simulator, store: &SessionStore, path: &Path) ->
     run.watermark()
 }
 
+/// Where a snapshot's per-user rows start: right after the horizon and the
+/// population length, which follow the configuration.
+fn population_rows(snapshot: &[u8], horizon: u64, population: usize) -> usize {
+    let header: Vec<u8> = [horizon, population as u64]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let payload = &snapshot[20..snapshot.len() - 8];
+    20 + payload
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the horizon and population are in the payload")
+        + header.len()
+}
+
+/// `snapshot` re-sealed with its population length set to `claim`: a
+/// smaller population also drops the rows past it, a larger one claims
+/// rows the payload does not have. The payload length and digest are
+/// recomputed, so only the engine's own checks can reject it.
+fn with_population(snapshot: &[u8], horizon: u64, population: usize, claim: u64) -> Vec<u8> {
+    let rows = population_rows(snapshot, horizon, population);
+    let mut bytes = snapshot.to_vec();
+    bytes[rows - 8..rows].copy_from_slice(&claim.to_le_bytes());
+    if claim < population as u64 {
+        bytes.drain(rows + 16 * claim as usize..rows + 16 * population);
+    }
+    let payload = 20..bytes.len() - 8;
+    bytes[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let digest = checkpoint::fnv1a(&bytes[payload.clone()]);
+    bytes[payload.end..].copy_from_slice(&digest.to_le_bytes());
+    bytes
+}
+
 #[test]
 fn corrupted_snapshots_are_rejected_with_typed_errors() {
     let store = short_store(0.0002, 7, 3);
@@ -168,7 +202,7 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         checkpoint::resume_latest(&path),
-        Err(CheckpointError::UnsupportedVersion { supported: 3, .. })
+        Err(CheckpointError::UnsupportedVersion { supported: 4, .. })
     ));
 
     // Bad magic.
@@ -226,11 +260,82 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
         Err(CheckpointError::Corrupt(_))
     ));
 
+    // So is a population too small for the user ids the snapshot holds:
+    // every restored active and carried session must index the per-user
+    // totals. Shrink the population to one user, far below the largest
+    // user id.
+    let horizon = store.horizon_secs();
+    let population = store.population_len();
+    let bytes = with_population(&pristine, horizon, population, 1);
+    assert!(matches!(
+        Simulator::resume(&mut bytes.as_slice()),
+        Err(CheckpointError::Corrupt("user id outside the population"))
+    ));
+
+    // Re-sealed with its own population the snapshot is unchanged, so the
+    // helper alone corrupts nothing. A population with more 16-byte rows
+    // than the payload has bytes left is rejected before the restore
+    // allocates anything for it.
+    let same = with_population(&pristine, horizon, population, population as u64);
+    assert_eq!(same, pristine);
+    let left = (pristine.len() - 8 - population_rows(&pristine, horizon, population)) as u64;
+    for claim in [left / 16 + 1, 1 << 32, u64::MAX] {
+        let bytes = with_population(&pristine, horizon, population, claim);
+        assert!(
+            matches!(
+                Simulator::resume(&mut bytes.as_slice()),
+                Err(CheckpointError::Corrupt("sequence length out of bounds"))
+            ),
+            "population claim {claim}"
+        );
+    }
+
     // The pristine bytes still restore (the guards above weren't spurious).
     std::fs::write(&path, &pristine).unwrap();
     let run = checkpoint::resume_latest(&path).unwrap();
     assert_eq!(run.watermark(), 2 * DAY);
     clean(&path);
+}
+
+/// The restore checks the user of every active and every carried session
+/// on its own: one swarm holds a session still active at the cut and one
+/// carried past it (it starts in the cut's last window), and whichever of
+/// the two has the large user id must make a shrunk population corrupt.
+#[test]
+fn active_and_carried_user_ids_are_each_checked() {
+    let template = short_store(0.0002, 7, 3).to_records()[0];
+    let horizon = 3 * DAY;
+    let population = 8;
+    let session = |user: u32, start: u64, duration_secs: u32| SessionRecord {
+        user: UserId(user),
+        start: SimTime(start),
+        duration_secs,
+        ..template
+    };
+    for (active_user, carried_user) in [(5, 0), (0, 5)] {
+        let records = [
+            session(active_user, 0, 2 * DAY as u32),
+            session(carried_user, DAY - 1, 600),
+        ];
+        let store = SessionStore::from_records(&records, horizon, population);
+        let (batch, watermark) = &batch_schedule(&store, DAY)[0];
+        let mut run = simulator(1).begin(horizon, population);
+        run.push_batch(batch, *watermark);
+        let mut snapshot = Vec::new();
+        run.checkpoint(&mut snapshot).unwrap();
+
+        let bytes = with_population(&snapshot, horizon, population, 5);
+        assert!(
+            matches!(
+                Simulator::resume(&mut bytes.as_slice()),
+                Err(CheckpointError::Corrupt("user id outside the population"))
+            ),
+            "active user {active_user}, carried user {carried_user}"
+        );
+        // One more user and the ids fit: the bound is exact.
+        let bytes = with_population(&snapshot, horizon, population, 6);
+        assert!(Simulator::resume(&mut bytes.as_slice()).is_ok());
+    }
 }
 
 #[test]
