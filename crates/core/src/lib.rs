@@ -109,7 +109,6 @@ pub mod prelude {
     pub use crate::sweep::{SweepConfig, SweepGrid, SweepReport, SweepRunner};
     pub use crate::topology::{IspId, IspRegistry, IspTopology, Layer};
     pub use crate::trace::{
-        ChurnConfig, FlashCrowd, ScalePreset, SegmentedStore, SessionStore, Trace, TraceConfig,
-        TraceGenerator,
+        ChurnConfig, FlashCrowd, ScalePreset, SessionStore, Trace, TraceConfig, TraceGenerator,
     };
 }

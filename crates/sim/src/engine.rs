@@ -27,8 +27,7 @@
 //!
 //! Every way of feeding sessions to the engine goes through one entry
 //! point: [`Simulator::simulate`] consumes any [`SessionSource`] — a whole
-//! trace or prebuilt store in one batch, a
-//! [`SegmentedStore`](consume_local_trace::SegmentedStore) or generated
+//! trace or prebuilt store in one batch, a generated
 //! [`SegmentStream`](consume_local_trace::SegmentStream) day by day, or the
 //! [`online`](crate::online) ingest channel as watermarked batches — and
 //! every source produces the **byte-identical** report (the resumable
@@ -92,8 +91,7 @@ impl Simulator {
     ///
     /// The report is **byte-identical across sources**: a whole
     /// [`Trace`](consume_local_trace::Trace), its prebuilt
-    /// [`SessionStore`], a per-day
-    /// [`SegmentedStore`](consume_local_trace::SegmentedStore), a generated
+    /// [`SessionStore`], a generated
     /// [`SegmentStream`](consume_local_trace::SegmentStream), or the online
     /// ingest channel ([`online::channel`](crate::online::channel)) all
     /// produce the same bytes for the same sessions, at any thread count
@@ -105,17 +103,17 @@ impl Simulator {
     ///
     /// ```
     /// use consume_local_sim::{SimConfig, Simulator};
-    /// use consume_local_trace::{SegmentedStore, SessionStore, TraceConfig, TraceGenerator};
+    /// use consume_local_trace::{SessionStore, TraceConfig, TraceGenerator};
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let trace = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003)?, 7)
-    ///     .generate()?;
+    /// let generator = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003)?, 7);
+    /// let trace = generator.generate()?;
     /// let store = SessionStore::from_trace(&trace);   // build once, share freely
     /// let sim = Simulator::new(SimConfig::default());
     /// let report = sim.simulate(&store);
     /// // Any other source of the same sessions replays identically.
     /// assert_eq!(report, sim.simulate(&trace));
-    /// assert_eq!(report, sim.simulate(&SegmentedStore::from_trace(&trace)));
+    /// assert_eq!(report, sim.simulate(&mut generator.segments()?));
     /// assert!(report.total.demand_bytes > 0);
     /// # Ok(())
     /// # }
@@ -214,59 +212,6 @@ impl Simulator {
         }
     }
 
-    /// The reference row-based engine: identical pipeline, but the per-swarm
-    /// window loop materialises [`ActiveSession`] rows instead of driving
-    /// the columnar [`ActiveSet`]. Kept only as the oracle the SoA fast path
-    /// is property-tested against.
-    #[cfg(test)]
-    fn run_store_rows(&self, store: &SessionStore) -> SimReport {
-        self.run_store_with(store, Self::simulate_swarm_rows)
-    }
-
-    /// The engine pipeline around a pluggable per-swarm simulation: the
-    /// production grouping, a per-swarm parallel fan-out over the whole
-    /// store and the production key-ordered merge. Test-only: it exists so
-    /// the row-based oracle and the single-pass columnar machine share
-    /// production's grouping and merge, while production itself advances
-    /// every machine through [`SegmentedRun::push_batch`].
-    #[cfg(test)]
-    fn run_store_with(
-        &self,
-        store: &SessionStore,
-        simulate: impl Fn(&Self, SwarmKey, &[u32], &SessionStore) -> (SwarmOutput, Vec<UserBytes>)
-            + Sync,
-    ) -> SimReport {
-        // 1. Group sessions into sub-swarms (see [`group_by_swarm`]).
-        let (indices, keyed) = group_by_swarm(&self.config, store);
-
-        // 2. Simulate swarms (work-stealing across threads; each swarm's
-        //    result is placed at its key-ordered slot).
-        let n = keyed.len();
-        let outputs = crate::par::parallel_map(n, self.config.threads, |i| {
-            let (key, range) = &keyed[i];
-            simulate(self, *key, &indices[range.clone()], store)
-        });
-
-        // 3. Merge deterministically in key order (shared with the
-        //    segment-sequential path).
-        let mut users = vec![UserTraffic::default(); store.population_len()];
-        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = outputs
-            .into_iter()
-            .zip(&keyed)
-            .map(|((out, rows), (key, range))| {
-                add_user_bytes(&mut users, &rows);
-                (*key, range.len() as u64, out)
-            })
-            .collect();
-        self.merge_outputs(
-            store.horizon_secs(),
-            users,
-            parts,
-            Vec::new(),
-            sort_key_warnings(store.sort_key_maxima()),
-        )
-    }
-
     /// Merges key-ordered per-swarm outputs and the run's per-user totals
     /// into the final report — the common tail of every path
     /// ([`SegmentedRun::finish`], and through it [`Simulator::simulate`]).
@@ -346,31 +291,6 @@ impl Simulator {
             degradation,
             warnings,
         }
-    }
-
-    /// Simulates one sub-swarm over its sessions (already start-ordered):
-    /// one [`SwarmSim`] driven over the whole store in a single
-    /// [`SwarmSim::advance`] pass. Test-only: production runs the same
-    /// machine through [`SegmentedRun::push_batch`], one advance per batch
-    /// that brings it work; this shape feeds the row-oracle pipeline.
-    #[cfg(test)]
-    fn simulate_swarm(
-        &self,
-        key: SwarmKey,
-        indices: &[u32],
-        store: &SessionStore,
-    ) -> (SwarmOutput, Vec<UserBytes>) {
-        let first = indices[0] as usize;
-        let mut swarm = SwarmSim::new(
-            self,
-            key,
-            store.start_secs()[first],
-            store.device()[first].bitrate_bps(),
-        );
-        let mut retired = Vec::new();
-        let horizon = store.horizon_secs();
-        swarm.advance(self, store, indices, u64::MAX, horizon, &mut retired);
-        (swarm.take_output(&mut retired), retired)
     }
 }
 
@@ -2285,7 +2205,7 @@ fn swarm_seed(base: u64, key: &SwarmKey) -> u64 {
 struct SwarmOutput {
     ledger: ByteLedger,
     /// Days spilled while the run was in flight, preceding every `daily`
-    /// entry (empty on the test-only single-advance path).
+    /// entry (empty on the test-only row-oracle path).
     frozen: Vec<FrozenDay>,
     daily: Vec<(u32, ByteLedger)>,
     upload_ratio: f64,
@@ -2320,6 +2240,35 @@ struct ActiveSession {
 
 #[cfg(test)]
 impl Simulator {
+    /// The reference row-based engine: production's grouping and
+    /// key-ordered merge around a per-swarm window loop that materialises
+    /// [`ActiveSession`] rows instead of driving the columnar
+    /// [`ActiveSet`], over the whole store in one pass. Kept only as the
+    /// oracle the SoA fast path is property-tested against.
+    fn run_store_rows(&self, store: &SessionStore) -> SimReport {
+        let (indices, keyed) = group_by_swarm(&self.config, store);
+        let outputs = crate::par::parallel_map(keyed.len(), self.config.threads, |i| {
+            let (key, range) = &keyed[i];
+            self.simulate_swarm_rows(*key, &indices[range.clone()], store)
+        });
+        let mut users = vec![UserTraffic::default(); store.population_len()];
+        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = outputs
+            .into_iter()
+            .zip(&keyed)
+            .map(|((out, rows), (key, range))| {
+                add_user_bytes(&mut users, &rows);
+                (*key, range.len() as u64, out)
+            })
+            .collect();
+        self.merge_outputs(
+            store.horizon_secs(),
+            users,
+            parts,
+            Vec::new(),
+            sort_key_warnings(store.sort_key_maxima()),
+        )
+    }
+
     /// The pre-SoA row-based window loop, kept verbatim as the oracle for
     /// property tests: materialises [`ActiveSession`] rows, rebuilds the
     /// matcher's peer/need/budget inputs every window and keeps its own
@@ -2520,12 +2469,14 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::faults::batch_schedule;
     use consume_local_energy::EnergyParams;
     use consume_local_swarm::MatcherKind;
     use consume_local_topology::{ExchangeId, IspId, IspTopology};
     use consume_local_trace::device::DeviceClass;
+    use consume_local_trace::time::SECS_PER_DAY;
     use consume_local_trace::{
-        ContentId, SegmentedStore, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
+        ContentId, SessionRecord, Trace, TraceConfig, TraceGenerator, UserId,
     };
 
     fn tiny_trace() -> Trace {
@@ -2631,20 +2582,6 @@ mod tests {
                 "{matcher:?}: prebuilt store must replay identically"
             );
         }
-    }
-
-    #[test]
-    fn single_advance_pass_matches_production_fan_out() {
-        // The columnar machine driven in one whole-horizon advance (the
-        // test pipeline) against production's push_batch on the store as
-        // one whole-horizon batch: cost-chunked fan-out, freeze and spill.
-        let trace = tiny_trace();
-        let store = SessionStore::from_trace(&trace);
-        let sim = Simulator::new(SimConfig::default());
-        assert_eq!(
-            sim.run_store_with(&store, Simulator::simulate_swarm),
-            sim.simulate(&store)
-        );
     }
 
     /// Checks [`cost_chunks`]' contract on one cost vector.
@@ -3130,7 +3067,6 @@ mod tests {
     fn segmented_source_matches_monolithic_store() {
         let trace = tiny_trace();
         let mono = SessionStore::from_trace(&trace);
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
         // Window lengths that divide a day, don't divide a day, and exceed
         // a day — the segment-boundary pause/carry logic must be invisible
         // in all three regimes, across matchers and the active-set knobs.
@@ -3160,7 +3096,7 @@ mod tests {
         for cfg in configs {
             let sim = Simulator::new(cfg.clone());
             assert_eq!(
-                sim.simulate(&seg),
+                simulate_by_day(&sim, &mono),
                 sim.simulate(&mono),
                 "window_secs={}",
                 cfg.window_secs
@@ -3233,23 +3169,24 @@ mod tests {
         // Feeding only day 0 of a multi-day trace must still replay every
         // admitted session to completion: finish() drains the machines.
         let trace = pair_trace(0); // both sessions on day 0
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
+        let store = SessionStore::from_trace(&trace);
         let sim = Simulator::new(SimConfig::default());
-        let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-        run.push_batch(seg.segment(0), SegmentedStore::SEGMENT_SECS);
+        let (day0, watermark) = &batch_schedule(&store, SECS_PER_DAY)[0];
+        assert_eq!(day0.len(), store.len());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        run.push_batch(day0, *watermark);
         assert_eq!(run.finish(), sim.simulate(&trace));
     }
 
     #[test]
     fn segmented_run_deterministic_across_thread_counts() {
-        let trace = tiny_trace();
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
+        let store = SessionStore::from_trace(&tiny_trace());
         let run_with = |threads: usize| {
-            Simulator::new(SimConfig {
+            let sim = Simulator::new(SimConfig {
                 threads,
                 ..Default::default()
-            })
-            .simulate(&seg)
+            });
+            simulate_by_day(&sim, &store)
         };
         let reference = run_with(1);
         assert_eq!(reference, run_with(2));
@@ -3318,21 +3255,21 @@ mod tests {
                 max_content
             }]
         );
-        let seg = consume_local_trace::SegmentedStore::from_records(&records, horizon, users);
         assert_eq!(
-            sim.simulate(&seg),
+            simulate_by_day(&sim, &doctored),
             report,
             "warnings are batch-schedule invariant"
         );
     }
 
-    /// The day segments of `seg`, each paired with its day's end as the
-    /// watermark.
-    fn day_batches(seg: &SegmentedStore) -> impl Iterator<Item = (&SessionStore, u64)> {
-        seg.segments()
-            .iter()
-            .zip(1..)
-            .map(|(segment, day)| (segment, day * SegmentedStore::SEGMENT_SECS))
+    /// `store` replayed through one run as one batch per day, each
+    /// watermarked at its day's end (the online producer's daily tick).
+    fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        for (batch, watermark) in batch_schedule(store, SECS_PER_DAY) {
+            run.push_batch(&batch, watermark);
+        }
+        run.finish()
     }
 
     /// A snapshot taken mid-run must restore into a run that finishes
@@ -3342,8 +3279,8 @@ mod tests {
     /// non-trivial defection rates.
     #[test]
     fn checkpoint_roundtrip_resumes_byte_identically() {
-        let trace = tiny_trace();
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
+        let store = SessionStore::from_trace(&tiny_trace());
+        let days = batch_schedule(&store, SECS_PER_DAY);
         let configs = [
             SimConfig::default(),
             SimConfig {
@@ -3362,19 +3299,19 @@ mod tests {
         ];
         for config in configs {
             let sim = Simulator::new(config);
-            let expect = sim.simulate(&seg);
-            let cut = seg.num_segments() / 2;
-            let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-            for (segment, watermark) in day_batches(&seg).take(cut) {
-                run.push_batch(segment, watermark);
+            let expect = sim.simulate(&store);
+            let cut = days.len() / 2;
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            for (batch, watermark) in &days[..cut] {
+                run.push_batch(batch, *watermark);
             }
             let mut snapshot = Vec::new();
             run.checkpoint(&mut snapshot).unwrap();
             let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
             assert_eq!(resumed.watermark(), run.watermark());
-            for (segment, watermark) in day_batches(&seg).skip(cut) {
-                run.push_batch(segment, watermark);
-                resumed.push_batch(segment, watermark);
+            for (batch, watermark) in &days[cut..] {
+                run.push_batch(batch, *watermark);
+                resumed.push_batch(batch, *watermark);
             }
             assert_eq!(resumed.finish(), expect, "resumed run diverged");
             assert_eq!(
@@ -3417,8 +3354,8 @@ mod tests {
     /// and the restored run keeps the donor's matcher and seed.
     #[test]
     fn snapshot_carries_the_configuration() {
-        let trace = tiny_trace();
-        let seg = consume_local_trace::SegmentedStore::from_trace(&trace);
+        let store = SessionStore::from_trace(&tiny_trace());
+        let days = batch_schedule(&store, SECS_PER_DAY);
         let config = SimConfig {
             matcher: MatcherKind::Random,
             seed: 77,
@@ -3426,16 +3363,16 @@ mod tests {
             ..Default::default()
         };
         let sim = Simulator::new(config);
-        let expect = sim.simulate(&seg);
-        let mut run = sim.begin(seg.horizon_secs(), seg.population_len());
-        for (segment, watermark) in day_batches(&seg).take(3) {
-            run.push_batch(segment, watermark);
+        let expect = sim.simulate(&store);
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        for (batch, watermark) in &days[..3] {
+            run.push_batch(batch, *watermark);
         }
         let mut snapshot = Vec::new();
         run.checkpoint(&mut snapshot).unwrap();
         let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
-        for (segment, watermark) in day_batches(&seg).skip(3) {
-            resumed.push_batch(segment, watermark);
+        for (batch, watermark) in &days[3..] {
+            resumed.push_batch(batch, *watermark);
         }
         assert_eq!(resumed.finish(), expect);
     }

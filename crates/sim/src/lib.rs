@@ -14,8 +14,8 @@
 //! * [`ledger`] — byte ledgers and their energy/savings evaluation;
 //! * [`source`] — the [`SessionSource`] abstraction: watermarked,
 //!   start-ordered session batches, implemented by every feeding mode
-//!   (whole trace, shared columnar store, per-day segments, a streaming
-//!   generator, or the live online channel);
+//!   (whole trace, shared columnar store, a streaming per-day generator,
+//!   or the live online channel);
 //! * [`engine`] — the discrete time-step engine, sequential or parallel
 //!   (thread-sharded across sub-swarms, deterministic regardless of
 //!   thread count). [`Simulator::simulate`] is the single entry point: it

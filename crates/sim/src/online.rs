@@ -19,7 +19,9 @@
 //!   ([`Simulator::simulate_days`]).
 //!   Late events (start before the current watermark) are rejected at the
 //!   sender with [`OnlineError::LateSession`] rather than silently skewing
-//!   results.
+//!   results, and so are events the engine cannot take: a start at or past
+//!   the horizon ([`OnlineError::PastHorizon`]) or a user id outside the
+//!   population ([`OnlineError::UserOutsidePopulation`]).
 //! * **Byte-identical results.** Because the online path feeds the same
 //!   resumable per-swarm machines through the same [`SessionSource`]
 //!   contract, a replayed trace produces a [`SimReport`]
@@ -89,6 +91,24 @@ pub enum OnlineError {
         /// The watermark it arrived behind.
         watermark: u64,
     },
+    /// The session starts at or past the stream's horizon, where no window
+    /// runs, so it could never be simulated. The event was **not**
+    /// enqueued.
+    PastHorizon {
+        /// The rejected session's start, in seconds.
+        start_secs: u64,
+        /// The stream's horizon, in seconds.
+        horizon_secs: u64,
+    },
+    /// The session's user id is not below the stream's population length:
+    /// its bytes would have no per-user row, and the engine would panic on
+    /// it and end the run. The event was **not** enqueued.
+    UserOutsidePopulation {
+        /// The rejected session's user id.
+        user: u32,
+        /// The stream's population length.
+        population_len: usize,
+    },
     /// The consuming side hung up (the simulation finished or died); no
     /// further events can be delivered.
     Disconnected,
@@ -103,6 +123,20 @@ impl std::fmt::Display for OnlineError {
             } => write!(
                 f,
                 "late session: starts at {start_secs}s, behind watermark {watermark}s"
+            ),
+            Self::PastHorizon {
+                start_secs,
+                horizon_secs,
+            } => write!(
+                f,
+                "session starts at {start_secs}s, at or past the {horizon_secs}s horizon"
+            ),
+            Self::UserOutsidePopulation {
+                user,
+                population_len,
+            } => write!(
+                f,
+                "session user id {user} is outside the population of {population_len} users"
             ),
             Self::Disconnected => write!(f, "online channel disconnected"),
         }
@@ -123,7 +157,8 @@ impl std::error::Error for OnlineError {}
 ///
 /// `horizon_secs` and `population_len` describe the stream the way a
 /// [`SessionStore`] would: windows stop at the horizon, and user ids index
-/// into `population_len` users.
+/// into `population_len` users. The sender rejects any session that
+/// starts at or past the horizon or names a user outside the population.
 ///
 /// # Example
 ///
@@ -158,7 +193,12 @@ pub fn channel(
 ) -> (OnlineSender, OnlineSource) {
     let (tx, rx) = sync_channel(capacity);
     (
-        OnlineSender { tx, watermark: 0 },
+        OnlineSender {
+            tx,
+            watermark: 0,
+            horizon_secs,
+            population_len,
+        },
         OnlineSource {
             rx,
             horizon_secs,
@@ -175,6 +215,8 @@ pub fn channel(
 pub struct OnlineSender {
     tx: SyncSender<Envelope>,
     watermark: u64,
+    horizon_secs: u64,
+    population_len: usize,
 }
 
 impl OnlineSender {
@@ -183,14 +225,29 @@ impl OnlineSender {
     ///
     /// Events need not be sorted — batches are put into canonical order
     /// when a watermark seals them — but each must start at or after the
-    /// current watermark, or it is rejected as
-    /// [`OnlineError::LateSession`].
+    /// current watermark ([`OnlineError::LateSession`]) and before the
+    /// horizon ([`OnlineError::PastHorizon`]), and its user id must be
+    /// below the population length
+    /// ([`OnlineError::UserOutsidePopulation`]). A rejected event is not
+    /// enqueued, so the stream stays valid and the producer may carry on.
     pub fn send_session(&mut self, session: SessionRecord) -> Result<(), OnlineError> {
         let start_secs = session.start.as_secs();
         if start_secs < self.watermark {
             return Err(OnlineError::LateSession {
                 start_secs,
                 watermark: self.watermark,
+            });
+        }
+        if start_secs >= self.horizon_secs {
+            return Err(OnlineError::PastHorizon {
+                start_secs,
+                horizon_secs: self.horizon_secs,
+            });
+        }
+        if session.user.0 as usize >= self.population_len {
+            return Err(OnlineError::UserOutsidePopulation {
+                user: session.user.0,
+                population_len: self.population_len,
             });
         }
         self.tx
@@ -331,7 +388,10 @@ pub struct ReplayStats {
 
 /// Replays a store through an online [`channel`] at `config.speed`,
 /// simulating as events arrive. Returns the report — byte-identical to
-/// `sim.simulate(&store)` — and the stream statistics.
+/// `sim.simulate(&store)` — and the stream statistics. A session the
+/// sender rejects (one starting at or past the horizon, or one whose user
+/// is outside the population) is left out and the replay carries on, so
+/// the report is then that of the accepted sessions.
 ///
 /// The producer runs on a scoped thread; the calling thread simulates.
 /// Sleep-based pacing and day-close observation hooks are injectable via
@@ -441,8 +501,9 @@ pub fn resume_replay(
 /// one watermark per tick, emitted just before the first event that
 /// crosses it (paced), plus trailing ticks to cover the horizon so every
 /// day closes through the same cadence. Events starting before
-/// `config.resume_from` are skipped and ticks start past it. If the
-/// consumer hangs up early the partial stats are still meaningful.
+/// `config.resume_from` are skipped and ticks start past it, as are events
+/// the sender rejects. If the consumer hangs up early the partial stats
+/// are still meaningful.
 fn feed_producer<'a>(
     store: &'a SessionStore,
     config: &ReplayConfig,
@@ -483,10 +544,11 @@ fn feed_producer<'a>(
                 stats.watermarks += 1;
                 next_tick += tick;
             }
-            if sender.send_session(record).is_err() {
-                return stats;
+            match sender.send_session(record) {
+                Ok(()) => stats.events += 1,
+                Err(OnlineError::Disconnected) => return stats,
+                Err(_) => {}
             }
-            stats.events += 1;
         }
         while next_tick < horizon + tick {
             if let Some(wall) = wall_secs_per_tick {
@@ -519,7 +581,7 @@ mod tests {
     fn watermarks_cut_batches_and_disconnect_flushes() {
         let store = store();
         let records = store.to_records();
-        let day = consume_local_trace::SegmentedStore::SEGMENT_SECS;
+        let day = consume_local_trace::time::SECS_PER_DAY;
         let (mut tx, source) = channel(store.horizon_secs(), store.population_len(), 8);
         let (_, batches) = parallel_join(
             move || {
@@ -541,20 +603,17 @@ mod tests {
             },
         );
         let (shape, fed) = batches;
-        let seg = consume_local_trace::SegmentedStore::from_records(
-            &store.to_records(),
-            store.horizon_secs(),
-            store.population_len(),
+        let (day0, day1) = (
+            store.first_at_or_after(day),
+            store.first_at_or_after(2 * day),
         );
-        assert_eq!(shape.len(), 3);
-        assert_eq!(shape[0], (seg.segment(0).len(), day));
-        assert_eq!(shape[1], (seg.segment(1).len(), 2 * day));
         assert_eq!(
-            shape[2],
-            (
-                store.len() - seg.segment(0).len() - seg.segment(1).len(),
-                u64::MAX
-            )
+            shape,
+            [
+                (day0, day),
+                (day1 - day0, 2 * day),
+                (store.len() - day1, u64::MAX)
+            ]
         );
         // Nothing dropped, nothing reordered across batch seams.
         assert_eq!(fed, store.to_records());
@@ -610,6 +669,50 @@ mod tests {
     }
 
     #[test]
+    fn sessions_past_the_horizon_are_rejected_at_the_sender() {
+        let store = store();
+        let horizon_secs = store.horizon_secs();
+        let (mut tx, _source) = channel(horizon_secs, store.population_len(), 4);
+        let mut session = store.record(0);
+        for start_secs in [horizon_secs, 1 << 62] {
+            session.start = consume_local_trace::SimTime(start_secs);
+            let err = tx.send_session(session).unwrap_err();
+            assert_eq!(
+                err,
+                OnlineError::PastHorizon {
+                    start_secs,
+                    horizon_secs
+                }
+            );
+            assert!(err.to_string().contains(&start_secs.to_string()), "{err}");
+        }
+        session.start = consume_local_trace::SimTime(horizon_secs - 1);
+        assert_eq!(tx.send_session(session), Ok(()));
+    }
+
+    #[test]
+    fn sessions_outside_the_population_are_rejected_at_the_sender() {
+        let store = store();
+        let population_len = store.population_len();
+        let (mut tx, _source) = channel(store.horizon_secs(), population_len, 4);
+        let mut session = store.record(0);
+        for user in [population_len as u32, u32::MAX] {
+            session.user = consume_local_trace::UserId(user);
+            let err = tx.send_session(session).unwrap_err();
+            assert_eq!(
+                err,
+                OnlineError::UserOutsidePopulation {
+                    user,
+                    population_len
+                }
+            );
+            assert!(err.to_string().contains(&user.to_string()), "{err}");
+        }
+        session.user = consume_local_trace::UserId(population_len as u32 - 1);
+        assert_eq!(tx.send_session(session), Ok(()));
+    }
+
+    #[test]
     fn replay_matches_batch_report_and_counts_the_stream() {
         let store = store();
         let sim = Simulator::new(SimConfig::default());
@@ -626,7 +729,7 @@ mod tests {
             stats.days_closed,
             store
                 .horizon_secs()
-                .div_ceil(consume_local_trace::SegmentedStore::SEGMENT_SECS)
+                .div_ceil(consume_local_trace::time::SECS_PER_DAY)
         );
     }
 

@@ -158,7 +158,8 @@ pub fn crash_and_recover(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use consume_local_trace::{SegmentedStore, TraceConfig, TraceGenerator};
+    use consume_local_trace::time::SECS_PER_DAY;
+    use consume_local_trace::{TraceConfig, TraceGenerator};
 
     fn store() -> SessionStore {
         let trace = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 5)
@@ -214,7 +215,7 @@ mod tests {
         let clean_report = sim.simulate(&store);
         let path = scratch("mid-run");
         clean(&path);
-        let day = SegmentedStore::SEGMENT_SECS;
+        let day = SECS_PER_DAY;
         let plan = CrashPlan {
             crash_after_batches: 9, // dies during day 3 (6h ticks)
             tick_secs: day / 4,
@@ -242,7 +243,7 @@ mod tests {
         clean(&path);
         let plan = CrashPlan {
             crash_after_batches: 0,
-            tick_secs: SegmentedStore::SEGMENT_SECS,
+            tick_secs: SECS_PER_DAY,
             policy: CheckpointPolicy::every_day_closes(1, &path),
         };
         let outcome = crash_and_recover(&sim, &store, &plan).unwrap();

@@ -11,10 +11,9 @@
 //!   horizon as one batch (the sweep runner's share-one-store shape);
 //! * [`&Trace`](consume_local_trace::Trace) — columnarised on the fly,
 //!   then one batch;
-//! * [`&SegmentedStore`](consume_local_trace::SegmentedStore) — one batch
-//!   per day segment, watermarked at each day's end;
-//! * [`&mut SegmentStream`](consume_local_trace::SegmentStream) — ditto,
-//!   but each day is generated, fed and dropped (bounded peak memory);
+//! * [`&mut SegmentStream`](consume_local_trace::SegmentStream) — one
+//!   batch per day, watermarked at the day's end; each day is generated,
+//!   fed and dropped (bounded peak memory);
 //! * [`&mut MetroStream`](consume_local_trace::metro::MetroStream) — the
 //!   multi-city form: one merged metro day per batch (union stream), or a
 //!   single city's days for the swarm-sharded mode ([`crate::shard`]);
@@ -50,7 +49,8 @@
 //! the horizon) marks a final batch.
 
 use consume_local_trace::metro::MetroStream;
-use consume_local_trace::{SegmentStream, SegmentedStore, SessionStore, Trace};
+use consume_local_trace::time::SECS_PER_DAY;
+use consume_local_trace::{SegmentStream, SessionStore, Trace};
 
 /// A producer of watermarked, day-ordered session batches — anything
 /// [`Simulator::simulate`](crate::Simulator::simulate) can consume. See
@@ -59,8 +59,7 @@ use consume_local_trace::{SegmentStream, SegmentedStore, SessionStore, Trace};
 ///
 /// `for_each_batch` takes `self` by value: a source is consumed by exactly
 /// one run. The borrowed implementations (`&SessionStore`, `&Trace`,
-/// `&SegmentedStore`, `&mut SegmentStream`) make the common cases free to
-/// re-create.
+/// `&mut SegmentStream`) make the common cases free to re-create.
 pub trait SessionSource {
     /// The replay horizon in seconds (windows stop here).
     fn horizon_secs(&self) -> u64;
@@ -103,24 +102,6 @@ impl SessionSource for &Trace {
     }
 }
 
-impl SessionSource for &SegmentedStore {
-    fn horizon_secs(&self) -> u64 {
-        SegmentedStore::horizon_secs(self)
-    }
-
-    fn population_len(&self) -> usize {
-        SegmentedStore::population_len(self)
-    }
-
-    /// One batch per day segment, watermarked at each day's end (segment
-    /// `d` holds exactly the sessions starting in day `d`).
-    fn for_each_batch(self, sink: &mut dyn FnMut(&SessionStore, u64)) {
-        for (day, segment) in self.segments().iter().enumerate() {
-            sink(segment, (day as u64 + 1) * SegmentedStore::SEGMENT_SECS);
-        }
-    }
-}
-
 impl SessionSource for &mut SegmentStream<'_> {
     fn horizon_secs(&self) -> u64 {
         self.config().horizon_seconds()
@@ -138,7 +119,7 @@ impl SessionSource for &mut SegmentStream<'_> {
             let Some(segment) = self.next_segment() else {
                 return;
             };
-            sink(&segment, (day + 1) * SegmentedStore::SEGMENT_SECS);
+            sink(&segment, (day + 1) * SECS_PER_DAY);
         }
     }
 }
@@ -161,7 +142,7 @@ impl SessionSource for &mut MetroStream<'_> {
             let Some(segment) = self.next_segment() else {
                 return;
             };
-            sink(&segment, (day + 1) * SegmentedStore::SEGMENT_SECS);
+            sink(&segment, (day + 1) * SECS_PER_DAY);
         }
     }
 }
@@ -202,20 +183,21 @@ mod tests {
 
     #[test]
     fn segmented_sources_watermark_each_day_end() {
+        // The generated day stream hands over the online producer's daily
+        // batches of the same trace: day `d`'s sessions, sealed at its end.
         let trace = trace();
-        let seg = SegmentedStore::from_trace(&trace);
-        let (horizon, population, got) = drain(&seg);
-        assert_eq!(horizon, trace.horizon_seconds());
-        assert_eq!(population, trace.population().len());
-        assert_eq!(got.len(), seg.num_segments());
-        for (d, &(len, watermark)) in got.iter().enumerate() {
-            assert_eq!(len, seg.segment(d).len());
-            assert_eq!(watermark, (d as u64 + 1) * SegmentedStore::SEGMENT_SECS);
-        }
-        assert_eq!(got.iter().map(|&(n, _)| n).sum::<usize>(), seg.len());
+        let store = SessionStore::from_trace(&trace);
+        let expect: Vec<(usize, u64)> = crate::online::faults::batch_schedule(&store, SECS_PER_DAY)
+            .iter()
+            .map(|(batch, watermark)| (batch.len(), *watermark))
+            .collect();
+        assert_eq!(expect.len() as u32, trace.config().days);
 
         let generator = TraceGenerator::new(trace.config().clone(), 5);
         let mut stream = generator.segments().unwrap();
-        assert_eq!(drain(&mut stream), (horizon, population, got));
+        assert_eq!(
+            drain(&mut stream),
+            (trace.horizon_seconds(), trace.population().len(), expect)
+        );
     }
 }

@@ -773,28 +773,6 @@ impl TraceGenerator {
         })
     }
 
-    /// Generates the trace directly into a materialised
-    /// [`SegmentedStore`](crate::store::SegmentedStore) (collects
-    /// [`TraceGenerator::segments`]; peak memory is *not* bounded — use the
-    /// stream for that).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] if the configuration fails
-    /// [`TraceConfig::validate`].
-    pub fn generate_segmented(&self) -> Result<crate::store::SegmentedStore, TraceError> {
-        let mut stream = self.segments()?;
-        let mut segments = Vec::with_capacity(self.config.days as usize);
-        while let Some(segment) = stream.next_segment() {
-            segments.push(segment);
-        }
-        Ok(crate::store::SegmentedStore::from_day_segments(
-            segments,
-            self.config.horizon_seconds(),
-            stream.population().len(),
-        ))
-    }
-
     /// Synthesises every session of one content item from the item's own
     /// RNG stream.
     ///
@@ -952,10 +930,10 @@ struct ItemStream {
     /// The item's persistent arrival stream — the invariant that makes
     /// per-day emission draw-identical to the monolithic day loop.
     rng: rand::rngs::StdRng,
-    /// Fragments deferred to their start day, in generation order. The
-    /// day-exact partition of [`SegmentedStore`](crate::store::SegmentedStore)
-    /// requires every emitted record to start in the emitted day; churn
-    /// rejoin gaps can push a fragment past midnight, so it waits here.
+    /// Fragments deferred to their start day, in generation order. Each
+    /// emitted day must hold exactly the records starting in it (the
+    /// stream's batches are watermarked at the day's end); churn rejoin
+    /// gaps can push a fragment past midnight, so it waits here.
     pending: Vec<SessionRecord>,
 }
 
@@ -967,8 +945,8 @@ struct ItemStream {
 /// concatenate to exactly the monolithic trace; only one day's rows and
 /// columns are ever resident. Feed the stream to
 /// `Simulator::simulate(&mut stream)` (in `consume-local-sim`) for the
-/// bounded-memory generate-and-simulate pipeline, or collect them with
-/// [`TraceGenerator::generate_segmented`].
+/// bounded-memory generate-and-simulate pipeline, or collect the segments
+/// with [`SegmentStream::next_segment`] when every day must stay at hand.
 pub struct SegmentStream<'g> {
     generator: &'g TraceGenerator,
     catalogue: Catalogue,
@@ -1597,15 +1575,15 @@ mod tests {
         assert_eq!(days, trace.config().days);
         assert_eq!(emitted.as_slice(), trace.sessions());
 
-        // The collected SegmentedStore and the segment-by-segment stream
-        // agree, for any worker count.
-        let collected = generator.generate_segmented().unwrap();
-        assert_eq!(collected.to_records().as_slice(), trace.sessions());
+        // The collected segments agree, store for store, for any worker
+        // count.
+        let collect = |generator: &TraceGenerator| {
+            let mut stream = generator.segments().unwrap();
+            std::iter::from_fn(|| stream.next_segment()).collect::<Vec<_>>()
+        };
+        let collected = collect(&generator);
         for workers in [2usize, 8] {
-            let parallel = TraceGenerator::new(small_config(), 1234)
-                .workers(workers)
-                .generate_segmented()
-                .unwrap();
+            let parallel = collect(&TraceGenerator::new(small_config(), 1234).workers(workers));
             assert_eq!(parallel, collected, "{workers} workers");
         }
     }

@@ -29,13 +29,12 @@
 //!   [`TraceGenerator::workers`](generator::TraceGenerator::workers), fans
 //!   per-item synthesis across threads with byte-identical output;
 //! * a columnar [`store`] ([`SessionStore`]) the simulation engine replays
-//!   instead of row records, shared across sweep scenarios — plus its
-//!   per-day forms for full-scale runs: [`SegmentedStore`] partitions a
-//!   trace into one [`SessionStore`] per day, and
-//!   [`TraceGenerator::segments`](generator::TraceGenerator::segments)
-//!   **streams** those segments out one at a time (persistent per-item RNG
-//!   streams keep the emission byte-identical to monolithic generation)
-//!   so peak memory holds a single day;
+//!   instead of row records, shared across sweep scenarios — and, for
+//!   full-scale runs,
+//!   [`TraceGenerator::segments`](generator::TraceGenerator::segments),
+//!   which **streams** a trace as one [`SessionStore`] per day
+//!   (persistent per-item RNG streams keep the emission byte-identical to
+//!   monolithic generation) so peak memory holds a single day;
 //! * the [`metro`] composition layer: several city-scale workloads with
 //!   disjoint per-city id ranges, streamed day-by-day as one union
 //!   ([`MetroTrace::stream`](metro::MetroTrace::stream)) or as per-city
@@ -89,5 +88,5 @@ pub use popularity::Popularity;
 pub use population::{Population, UserId};
 pub use session::SessionRecord;
 pub use stats::{Table1, TraceStats};
-pub use store::{SegmentedStore, SessionStore, StoreCursor};
+pub use store::{SessionStore, StoreCursor};
 pub use time::SimTime;

@@ -4,8 +4,10 @@
 //! across repeated runs with a fixed seed.
 
 use consume_local::prelude::*;
+use consume_local::sim::online::faults::batch_schedule;
 use consume_local::sweep::{SweepConfig, SweepGrid, SweepRunner};
-use consume_local::trace::SessionStore;
+use consume_local::trace::time::SECS_PER_DAY;
+use consume_local::trace::{SessionRecord, SessionStore};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -41,7 +43,7 @@ fn parallel_merge_bit_identical_on_small_preset() {
     // bucket sorts across workers: the small preset at every worker count
     // must reproduce the serial trace byte for byte — both through the
     // public merge entry point and through the full generator.
-    use consume_local::trace::{merge_session_batches, SessionRecord};
+    use consume_local::trace::merge_session_batches;
 
     let config = ScalePreset::Small.apply(TraceConfig::london_sep2013());
     let reference = TraceGenerator::new(config.clone(), 2018)
@@ -110,7 +112,6 @@ fn simulator_reports_bit_identical_across_thread_counts() {
 
 #[test]
 fn head_heavy_month_bit_identical_across_threads_and_schedules() {
-    use consume_local::sim::online::faults::batch_schedule;
     use consume_local::trace::ContentId;
 
     // Four of every five sessions re-pointed at item 0 under content-only
@@ -244,25 +245,35 @@ fn segmented_trace_generation_bit_identical_to_monolithic() {
     let config = TraceConfig::london_sep2013().scaled(0.0005).unwrap();
     let reference = TraceGenerator::new(config.clone(), 99).generate().unwrap();
     for &workers in &THREAD_COUNTS {
-        let segmented = TraceGenerator::new(config.clone(), 99)
-            .workers(workers)
-            .generate_segmented()
-            .unwrap();
+        let generator = TraceGenerator::new(config.clone(), 99).workers(workers);
         assert_eq!(
-            segmented.to_records().as_slice(),
+            segment_records(&generator).as_slice(),
             reference.sessions(),
             "segmented emit must not depend on {workers} workers"
         );
     }
 }
 
+/// Every record of `generator`'s day stream, in emission order.
+fn segment_records(generator: &TraceGenerator) -> Vec<SessionRecord> {
+    let mut stream = generator.segments().unwrap();
+    std::iter::from_fn(|| stream.next_segment())
+        .flat_map(|segment| segment.to_records())
+        .collect()
+}
+
+/// `store` pushed through one run as the online producer's daily batches.
+fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    for (batch, watermark) in batch_schedule(store, SECS_PER_DAY) {
+        run.push_batch(&batch, watermark);
+    }
+    run.finish()
+}
+
 #[test]
 fn segmented_engine_bit_identical_across_thread_counts_and_to_monolithic() {
-    use consume_local::trace::SegmentedStore;
-
-    let trace = shared_trace();
-    let store = SessionStore::from_trace(&trace);
-    let segmented = SegmentedStore::from_trace(&trace);
+    let store = SessionStore::from_trace(&shared_trace());
     for matcher in [MatcherKind::Hierarchical, MatcherKind::Random] {
         let reference = Simulator::new(SimConfig {
             threads: THREAD_COUNTS[0],
@@ -271,12 +282,12 @@ fn segmented_engine_bit_identical_across_thread_counts_and_to_monolithic() {
         })
         .simulate(&store);
         for &threads in &THREAD_COUNTS {
-            let report = Simulator::new(SimConfig {
+            let sim = Simulator::new(SimConfig {
                 threads,
                 matcher,
                 ..Default::default()
-            })
-            .simulate(&segmented);
+            });
+            let report = simulate_by_day(&sim, &store);
             assert_eq!(
                 reference, report,
                 "{matcher:?} segmented report must match monolithic at {threads} threads"
@@ -350,12 +361,9 @@ fn churned_trace_bit_identical_across_workers_and_paths() {
             parallel.sessions(),
             "churned trace must not depend on {workers} workers"
         );
-        let segmented = TraceGenerator::new(config.clone(), 99)
-            .workers(workers)
-            .generate_segmented()
-            .unwrap();
+        let generator = TraceGenerator::new(config.clone(), 99).workers(workers);
         assert_eq!(
-            segmented.to_records().as_slice(),
+            segment_records(&generator).as_slice(),
             reference.sessions(),
             "churned segmented emit must match monolithic at {workers} workers"
         );
@@ -365,13 +373,11 @@ fn churned_trace_bit_identical_across_workers_and_paths() {
 #[test]
 fn churned_engine_bit_identical_across_threads_segments_and_online() {
     use consume_local::sim::online::{replay, ReplayConfig};
-    use consume_local::trace::SegmentedStore;
 
     let trace = TraceGenerator::new(churned_config(), 99)
         .generate()
         .unwrap();
     let store = SessionStore::from_trace(&trace);
-    let segmented = SegmentedStore::from_trace(&trace);
     let config = SimConfig {
         cooperation_rate: 0.7,
         ..Default::default()
@@ -397,7 +403,7 @@ fn churned_engine_bit_identical_across_threads_segments_and_online() {
         );
         assert_eq!(
             reference,
-            sim.simulate(&segmented),
+            simulate_by_day(&sim, &store),
             "churned segmented report must match monolithic at {threads} threads"
         );
     }
@@ -561,7 +567,6 @@ fn ten_million_user_shapes_stay_on_the_fast_path() {
         merge_session_batches, merge_session_batches_wide, sort_key_fallback_required,
     };
     use consume_local::trace::metro::MetroConfig;
-    use consume_local::trace::session::SessionRecord;
     use consume_local::trace::time::SimTime;
     use consume_local::trace::{ContentId, UserId};
 

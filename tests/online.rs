@@ -7,7 +7,9 @@
 use consume_local::prelude::*;
 use consume_local::sim::online::{self, ReplayConfig, ReplaySpeed};
 use consume_local::sim::par::parallel_join;
-use consume_local::trace::{SegmentedStore, SessionStore};
+use consume_local::sim::OnlineError;
+use consume_local::trace::time::SECS_PER_DAY;
+use consume_local::trace::{SessionRecord, SessionStore, SimTime, UserId};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -62,7 +64,7 @@ fn replay_byte_identical_across_speeds_and_thread_counts() {
 #[test]
 fn backpressured_channel_never_drops_or_reorders() {
     let store = shared_store();
-    let day = SegmentedStore::SEGMENT_SECS;
+    let day = SECS_PER_DAY;
     let sim = simulator(2);
     let expect = sim.simulate(&store);
     // Capacity 0 is a rendezvous channel — every send waits for the
@@ -146,7 +148,7 @@ fn odd_watermark_cadences_match_the_batch_report() {
         assert_eq!(stats.watermarks, store.horizon_secs().div_ceil(tick_secs));
         assert_eq!(
             stats.days_closed,
-            store.horizon_secs().div_ceil(SegmentedStore::SEGMENT_SECS)
+            store.horizon_secs().div_ceil(SECS_PER_DAY)
         );
     }
 }
@@ -172,7 +174,54 @@ fn online_day_closes_match_the_batch_day_closes() {
     );
     assert_eq!(
         online_days.len() as u64,
-        store.horizon_secs().div_ceil(SegmentedStore::SEGMENT_SECS)
+        store.horizon_secs().div_ceil(SECS_PER_DAY)
     );
     assert!(online_days.iter().any(|c| c.ledger.demand_bytes > 0));
+}
+
+#[test]
+fn producer_carries_on_past_rejected_events() {
+    // Before every hundredth event the producer sends two the engine
+    // cannot take: a user past the population and a start at the horizon.
+    // Each gets its typed error, the producer carries on, and the consumer
+    // finishes with the batch report of the good sessions.
+    let store = shared_store();
+    let sim = simulator(2);
+    let (horizon, population) = (store.horizon_secs(), store.population_len());
+    let user = population as u32;
+    let records = store.to_records();
+    let (mut tx, source) = online::channel(horizon, population, 16);
+    let (_, report) = parallel_join(
+        move || {
+            for (i, r) in records.iter().enumerate() {
+                if i % 100 == 0 {
+                    let stranger = SessionRecord {
+                        user: UserId(user),
+                        ..*r
+                    };
+                    assert_eq!(
+                        tx.send_session(stranger),
+                        Err(OnlineError::UserOutsidePopulation {
+                            user,
+                            population_len: population
+                        })
+                    );
+                    let late_comer = SessionRecord {
+                        start: SimTime(horizon),
+                        ..*r
+                    };
+                    assert_eq!(
+                        tx.send_session(late_comer),
+                        Err(OnlineError::PastHorizon {
+                            start_secs: horizon,
+                            horizon_secs: horizon
+                        })
+                    );
+                }
+                tx.send_session(*r).unwrap();
+            }
+        },
+        || sim.simulate(source),
+    );
+    assert_eq!(report, sim.simulate(&store));
 }

@@ -1,19 +1,19 @@
-//! Property tests for the streaming per-day store pipeline: a
-//! [`SegmentedStore`] must be a lossless day-partition of the monolithic
-//! [`SessionStore`], and the segment-sequential engine must replay it to a
-//! **byte-identical** report — whatever the records look like, and in
-//! particular when sessions straddle segment (day) boundaries.
+//! Property tests for the day-batched engine: a store cut into one batch
+//! per day (the batches the online producer emits at a daily tick) and
+//! pushed through one run must give the whole store's report **byte for
+//! byte** — whatever the records look like, and in particular when
+//! sessions straddle day boundaries.
 
 use proptest::prelude::*;
 
 use consume_local::prelude::*;
+use consume_local::sim::online::faults::batch_schedule;
 use consume_local::topology::{ExchangeId, IspId, PopId, UserLocation};
 use consume_local::trace::device::DeviceClass;
-use consume_local::trace::{
-    ContentId, SegmentedStore, SessionRecord, SessionStore, SimTime, UserId,
-};
+use consume_local::trace::time::SECS_PER_DAY;
+use consume_local::trace::{ContentId, SessionRecord, SessionStore, SimTime, UserId};
 
-/// Three days: enough for first/middle/last-segment behaviour.
+/// Three days: enough for first/middle/last-batch behaviour.
 const HORIZON: u64 = 3 * 86_400;
 const USERS: usize = 60;
 
@@ -32,7 +32,7 @@ fn record(
 }
 
 /// Random records over a tiny world. Durations run up to two days, so many
-/// sessions cross one or even two segment boundaries; starts cover the
+/// sessions cross one or even two day boundaries; starts cover the
 /// whole horizon including the final day (whose sessions may end beyond
 /// the horizon).
 fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
@@ -53,7 +53,7 @@ fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
 
 /// Records clustered tightly around the day-1 boundary: every session
 /// starts within ±30 minutes of midnight and lasts up to 2 hours, so
-/// almost every window run is interrupted by the segment cut.
+/// almost every window run is interrupted by the day cut.
 fn boundary_straddler_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
     proptest::collection::vec(
         (
@@ -72,55 +72,13 @@ fn boundary_straddler_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
 
 proptest! {
     #[test]
-    fn segmented_store_round_trips_like_the_monolithic_store(
-        records in records_strategy(),
-    ) {
-        let mono = SessionStore::from_records(&records, HORIZON, USERS);
-        let seg = SegmentedStore::from_records(&records, HORIZON, USERS);
-        prop_assert_eq!(seg.len(), mono.len());
-
-        // Concatenated per-segment records equal the monolithic round trip
-        // (canonical order included), and each segment holds exactly its
-        // day's sessions.
-        let mut concatenated = Vec::with_capacity(seg.len());
-        for (day, segment) in seg.segments().iter().enumerate() {
-            let lo = day as u64 * SegmentedStore::SEGMENT_SECS;
-            for r in segment.to_records() {
-                prop_assert!(r.start.as_secs() >= lo);
-                prop_assert!(r.start.as_secs() < lo + SegmentedStore::SEGMENT_SECS);
-                concatenated.push(r);
-            }
-        }
-        prop_assert_eq!(&concatenated, &mono.to_records());
-        prop_assert_eq!(&seg.to_records(), &concatenated);
-
-        // Global record/index lookups agree with the monolithic store.
-        for i in 0..seg.len() {
-            prop_assert_eq!(seg.record(i), mono.record(i));
-        }
-        for probe in [0, 3_599, 86_400, 86_401, 2 * 86_400 + 7, HORIZON, HORIZON + 9_999] {
-            prop_assert_eq!(seg.first_at_or_after(probe), mono.first_at_or_after(probe));
-        }
-        for w in 0..(HORIZON / 3_600) as usize + 2 {
-            prop_assert_eq!(seg.window_range(w), mono.window_range(w));
-        }
-
-        // Rebuilding from the round-tripped records reproduces the store.
-        prop_assert_eq!(
-            &SegmentedStore::from_records(&concatenated, HORIZON, USERS),
-            &seg
-        );
-    }
-
-    #[test]
     fn segmented_engine_matches_monolithic_on_random_traces(
         records in records_strategy(),
         matcher_pick in 0u8..2,
         window_secs in 5u64..600,
         participation_pct in 30u64..=100,
     ) {
-        let mono = SessionStore::from_records(&records, HORIZON, USERS);
-        let seg = SegmentedStore::from_records(&records, HORIZON, USERS);
+        let store = SessionStore::from_records(&records, HORIZON, USERS);
         let cfg = SimConfig {
             matcher: if matcher_pick == 1 {
                 MatcherKind::Random
@@ -132,7 +90,7 @@ proptest! {
             ..Default::default()
         };
         let sim = Simulator::new(cfg);
-        prop_assert_eq!(sim.simulate(&seg), sim.simulate(&mono));
+        prop_assert_eq!(simulate_by_day(&sim, &store), sim.simulate(&store));
     }
 
     #[test]
@@ -141,37 +99,41 @@ proptest! {
         window_secs in 5u64..3_600,
         preload_tenths in 0u64..5,
     ) {
-        let mono = SessionStore::from_records(&records, HORIZON, USERS);
-        let seg = SegmentedStore::from_records(&records, HORIZON, USERS);
+        let store = SessionStore::from_records(&records, HORIZON, USERS);
         let cfg = SimConfig {
             window_secs,
             preload_fraction: preload_tenths as f64 / 10.0,
             ..Default::default()
         };
         let sim = Simulator::new(cfg);
-        prop_assert_eq!(sim.simulate(&seg), sim.simulate(&mono));
+        prop_assert_eq!(simulate_by_day(&sim, &store), sim.simulate(&store));
     }
 }
 
 #[test]
 fn generated_trace_segments_and_stream_replay_identically() {
-    // End to end on a real generated trace: the segmented store built from
-    // the trace, the segmented store emitted by the generator, and the
-    // bounded-memory generate-and-simulate stream all reproduce the
-    // monolithic report byte for byte.
+    // End to end on a real generated trace: the store cut into daily
+    // batches and the bounded-memory generate-and-simulate stream both
+    // reproduce the monolithic report byte for byte.
     let config = TraceConfig::london_sep2013().scaled(0.0005).unwrap();
     let generator = TraceGenerator::new(config, 41);
     let trace = generator.generate().unwrap();
     let sim = Simulator::new(SimConfig::default());
     let monolithic = sim.simulate(&trace);
 
-    let from_trace = SegmentedStore::from_trace(&trace);
-    assert_eq!(sim.simulate(&from_trace), monolithic);
-
-    let emitted = generator.generate_segmented().unwrap();
-    assert_eq!(emitted, from_trace);
-    assert_eq!(sim.simulate(&emitted), monolithic);
+    let store = SessionStore::from_trace(&trace);
+    assert_eq!(simulate_by_day(&sim, &store), monolithic);
 
     let mut stream = generator.segments().unwrap();
     assert_eq!(sim.simulate(&mut stream), monolithic);
+}
+
+/// `store` pushed through one run as one batch per day, each watermarked
+/// at its day's end.
+fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    for (batch, watermark) in batch_schedule(store, SECS_PER_DAY) {
+        run.push_batch(&batch, watermark);
+    }
+    run.finish()
 }

@@ -91,12 +91,11 @@ proptest! {
             prop_assert_eq!(store.content()[i], r.content.0);
             prop_assert_eq!(store.isp()[i], r.isp);
             prop_assert_eq!(store.location()[i], r.location);
-            prop_assert_eq!(store.end_secs(i), r.end().as_secs());
-            prop_assert_eq!(store.bitrate_bps(i), r.bitrate_bps());
+            prop_assert_eq!(store.device()[i], r.device);
         }
 
-        // The per-start-window cursor index agrees with a full binary search.
-        let expect = store.start_secs().partition_point(|&s| s < probe);
+        // The start lookup counts the sessions starting before the probe.
+        let expect = store.start_secs().iter().filter(|&&s| s < probe).count();
         prop_assert_eq!(store.first_at_or_after(probe), expect);
     }
 }
