@@ -3,8 +3,8 @@
 //! These evaluate the Section III expectations by direct summation over the
 //! stationary viewer-count distribution, truncated far into the Poisson tail.
 //! They are deliberately simple and slow; the property tests use them as the
-//! ground truth for the closed forms, and the ablation benches use them to
-//! quantify the closed forms' speedup.
+//! ground truth for the closed forms, and the paper's closed-form exhibit
+//! (`consume_local::figures`) prints Eq. 12 against them.
 
 use consume_local_energy::CostModel;
 use consume_local_stats::dist::Poisson;

@@ -1,6 +1,6 @@
 //! Terminal rendering: scatter/line charts and aligned tables.
 //!
-//! The examples and benches print their figure data; these helpers keep that
+//! The examples print their figure data; these helpers keep that
 //! output legible without pulling in a plotting dependency.
 
 /// Renders an XY series as an ASCII chart.

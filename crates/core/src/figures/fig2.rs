@@ -2,12 +2,16 @@
 //! trace-driven simulation dots, for three content popularity tiers, both
 //! energy models, the top-5 ISPs and a `q/β` sweep.
 
+use std::fmt::Write as _;
+
 use consume_local_analytics::SavingsModel;
 use consume_local_energy::{EnergyParams, ModelKind};
 use consume_local_sim::{SimConfig, Simulator, UploadModel};
 use consume_local_stats::grid;
 use consume_local_topology::IspId;
-use consume_local_trace::{ContentId, Trace};
+use consume_local_trace::{ContentId, Popularity, Trace, TraceConfig, TraceGenerator};
+
+use super::{pct, Exhibit};
 
 /// Which of the paper's three exemplar popularity tiers a panel shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +227,77 @@ pub fn fig2(trace: &Trace, base: &SimConfig, opts: &Fig2Options) -> Vec<Fig2Pane
         }
     }
     panels
+}
+
+/// The exemplar trace: a 3-item catalogue whose views ladder down the
+/// paper's tiers at *absolute* (unscaled) volumes, so the capacities match
+/// the paper's x-axis directly at every preset.
+pub(crate) fn exemplar_trace() -> Trace {
+    let mut config = TraceConfig::london_sep2013();
+    config.catalogue_size = 3;
+    config.popularity = Popularity::Zipf { exponent: 3.35 };
+    config.sessions_target = 112_000;
+    config.users = 40_000;
+    TraceGenerator::new(config, 2013)
+        .generate()
+        .expect("the exemplar config is valid")
+}
+
+/// Fig. 2 on `trace`'s exemplar items: the per-ratio summary of every panel
+/// and the dots and curves as CSV.
+pub(crate) fn exhibit(trace: &Trace, opts: &Fig2Options) -> Exhibit {
+    let panels = fig2(trace, &SimConfig::default(), opts);
+    let mut ex = Exhibit::new("Fig. 2: savings vs capacity (theory curves + simulation dots)");
+    let mut dots_csv = String::from("model,tier,isp,ratio,capacity,sim,theory\n");
+    let mut curves_csv = String::from("model,tier,ratio,capacity,savings\n");
+    for panel in &panels {
+        let (model, tier) = (panel.model, panel.tier);
+        ex.line(format!(
+            "--- {model:?} / {} (item {}, ≈{:.0} expected views) ---",
+            tier.label(),
+            panel.item,
+            panel.expected_views
+        ));
+        for ratio in &opts.ratios {
+            let dots: Vec<&Fig2Dot> = panel.dots.iter().filter(|d| d.ratio == *ratio).collect();
+            if dots.is_empty() {
+                continue;
+            }
+            let weight = dots.iter().map(|d| d.capacity).sum::<f64>().max(1e-12);
+            let wmean = |f: fn(&Fig2Dot) -> f64| {
+                dots.iter().map(|d| f(d) * d.capacity).sum::<f64>() / weight
+            };
+            ex.line(format!(
+                "  q/β={ratio}: {} dots, cap {:.2}–{:.2}, sim {} vs theory {}",
+                dots.len(),
+                dots.iter()
+                    .map(|d| d.capacity)
+                    .fold(f64::INFINITY, f64::min),
+                dots.iter().map(|d| d.capacity).fold(0.0, f64::max),
+                pct(wmean(|d| d.sim)),
+                pct(wmean(|d| d.theory)),
+            ));
+        }
+        ex.line(format!(
+            "  mean |sim − theory| over dots: {}",
+            pct(panel.mean_theory_gap())
+        ));
+        for d in &panel.dots {
+            let _ = writeln!(
+                dots_csv,
+                "{model:?},{tier:?},{},{},{},{},{}",
+                d.isp, d.ratio, d.capacity, d.sim, d.theory
+            );
+        }
+        for (ratio, curve) in &panel.curves {
+            for (c, s) in curve {
+                let _ = writeln!(curves_csv, "{model:?},{tier:?},{ratio},{c},{s}");
+            }
+        }
+    }
+    ex.csv("fig2_dots.csv", dots_csv);
+    ex.csv("fig2_curves.csv", curves_csv);
+    ex
 }
 
 #[cfg(test)]

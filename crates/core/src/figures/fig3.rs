@@ -6,6 +6,9 @@ use consume_local_energy::{EnergyParams, ModelKind};
 use consume_local_sim::SimReport;
 use consume_local_stats::Edf;
 
+use super::{model_series_csv, pct, Exhibit};
+use crate::export::series_csv;
+
 /// The Fig. 3 data.
 #[derive(Debug, Clone)]
 pub struct Fig3 {
@@ -74,6 +77,32 @@ pub fn fig3(report: &SimReport) -> Fig3 {
     }
 }
 
+/// Fig. 3 from the shared experiment's report: every tenth capacity CCDF
+/// point, the headline per-swarm savings and both panels as CSV.
+pub(crate) fn exhibit(report: &SimReport) -> Exhibit {
+    let data = fig3(report);
+    let mut ex = Exhibit::new("Fig. 3: catalogue-wide distributions");
+    ex.line(format!("{} swarms with traffic", data.swarms));
+    ex.line("capacity CCDF (left panel):");
+    for (x, y) in data.capacity_ccdf.iter().step_by(10) {
+        ex.line(format!("  P(capacity > {x:9.4}) = {y:.4}"));
+    }
+    ex.line("savings CCDF (right panel) and headline stats:");
+    for ((model, median), (_, top)) in data.median_savings.iter().zip(&data.top1pct_savings) {
+        ex.line(format!(
+            "  {model:?}: median per-swarm savings {} | top-1% swarms (demand-weighted) {}",
+            pct(*median),
+            pct(*top)
+        ));
+    }
+    ex.line("paper (full scale): median ≈ 2%, top-1% > 21% (Baliga) / 33% (Valancius)");
+    let capacity = series_csv("capacity", "ccdf", &data.capacity_ccdf);
+    ex.csv("fig3_capacity_ccdf.csv", capacity);
+    let savings = model_series_csv("savings", "ccdf", &data.savings_ccdf);
+    ex.csv("fig3_savings_ccdf.csv", savings);
+    ex
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,8 +154,8 @@ mod tests {
         // bands — 21 %/33 % for the top-1 % — need full-scale head
         // capacities: a scaled catalogue has a smaller head, so scaled
         // runs sit below them with the same ordering; see the scaling note
-        // on `TraceConfig::catalogue_size`. The `fig3_catalogue_ccdf`
-        // bench prints its bands next to the paper's.)
+        // on `TraceConfig::catalogue_size`. `examples/paper.rs` prints its
+        // bands next to the paper's.)
         let median_v = f.median_savings[0].1;
         assert!(
             median_v < 0.12,

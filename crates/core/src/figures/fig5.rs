@@ -1,10 +1,14 @@
 //! Fig. 5: end-to-end, CDN and user savings plus the carbon credit transfer
 //! as functions of swarm capacity (pure closed form, `q/β = 1`).
 
+use std::fmt::Write as _;
+
 use consume_local_analytics::{CreditModel, SavingsModel};
 use consume_local_energy::{EnergyParams, ModelKind};
 use consume_local_stats::grid;
 use consume_local_topology::IspTopology;
+
+use super::{pct, Exhibit};
 
 /// The four Fig. 5 curves for one energy model.
 #[derive(Debug, Clone)]
@@ -66,6 +70,35 @@ pub fn fig5(points: usize) -> Vec<Fig5Curves> {
             }
         })
         .collect()
+}
+
+/// Fig. 5 over 160 capacities: each model's asymptotes and carbon-neutral
+/// capacity, and all four curves as CSV.
+pub(crate) fn exhibit() -> Exhibit {
+    let mut ex = Exhibit::new("Fig. 5: savings and credit transfer vs capacity");
+    let mut csv = String::from("model,capacity,end_to_end,cdn,user,cct\n");
+    for c in fig5(160) {
+        for i in 0..c.capacities.len() {
+            let _ = writeln!(
+                csv,
+                "{:?},{},{},{},{},{}",
+                c.model, c.capacities[i], c.end_to_end[i], c.cdn[i], c.user[i], c.cct[i]
+            );
+        }
+        let last = c.capacities.len() - 1;
+        ex.line(format!(
+            "{:?}: S(∞) → {} | CDN → {} | user → {} | CCT(∞) → {:+.0}% | carbon-neutral at c ≈ {:.2}",
+            c.model,
+            pct(c.end_to_end[last]),
+            pct(c.cdn[last]),
+            pct(c.user[last]),
+            c.cct[last] * 100.0,
+            c.neutrality_capacity().unwrap_or(f64::NAN),
+        ));
+    }
+    ex.line("paper: CCT asymptotes +18% (Valancius) / +58% (Baliga).");
+    ex.csv("fig5_credit_curves.csv", csv);
+    ex
 }
 
 #[cfg(test)]

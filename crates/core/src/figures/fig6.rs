@@ -5,6 +5,8 @@ use consume_local_carbon::CreditReport;
 use consume_local_energy::{EnergyParams, ModelKind};
 use consume_local_sim::SimReport;
 
+use super::{model_series_csv, pct, Exhibit};
+
 /// The Fig. 6 data: one CDF per energy model plus headline shares.
 #[derive(Debug, Clone)]
 pub struct Fig6 {
@@ -44,6 +46,30 @@ pub fn fig6(report: &SimReport, points: usize) -> Fig6 {
     Fig6 { series, reports }
 }
 
+/// Fig. 6 over 160 points: each model's carbon-positive share and median
+/// transfer, and both CDFs as CSV.
+pub(crate) fn exhibit(report: &SimReport) -> Exhibit {
+    let data = fig6(report, 160);
+    let mut ex = Exhibit::new("Fig. 6: per-user CCT distribution");
+    for (model, credit) in &data.reports {
+        ex.line(format!(
+            "{model:?}: {} users | carbon positive {} | neutral {} | negative {} | median CCT {:+.2}",
+            credit.users(),
+            pct(credit.carbon_positive_share()),
+            credit.carbon_neutral(),
+            credit.carbon_negative(),
+            credit.median_cct().unwrap_or(0.0),
+        ));
+    }
+    ex.line("paper (full scale): ≈41% (Valancius) / >70% (Baliga) carbon positive;");
+    ex.line("scaled runs sit lower (smaller head swarms) with the same model ordering.");
+    ex.csv(
+        "fig6_user_cct_cdf.csv",
+        model_series_csv("cct", "cdf", &data.series),
+    );
+    ex
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,8 +104,8 @@ mod tests {
         // absolute shares — ≈41 % / >70 % — need full-scale head swarms: a
         // scaled catalogue has a smaller head, so scaled runs sit lower
         // with the same ordering; see the scaling note on
-        // `TraceConfig::catalogue_size`. The `fig6_user_cct_cdf` bench
-        // prints its shares next to the paper's.)
+        // `TraceConfig::catalogue_size`. `examples/paper.rs` prints its
+        // shares next to the paper's.)
         assert!(b > v, "Baliga {b} vs Valancius {v}");
         assert!(b > 0.02, "some users must turn positive under Baliga: {b}");
         assert!(

@@ -12,8 +12,8 @@
 //! * [`Rule::NoThreadSpawn`] — `std::thread::{spawn,scope}` only inside
 //!   `stats::par`;
 //! * [`Rule::NoEntropyRng`] — no ambient-entropy RNG construction;
-//! * [`Rule::NoWallClock`] — `Instant`/`SystemTime` only in bench code or
-//!   with a justified pragma;
+//! * [`Rule::NoWallClock`] — `Instant`/`SystemTime` only with a justified
+//!   pragma;
 //! * [`Rule::HashIter`] — hash-table iteration needs a sort or a
 //!   justification;
 //! * [`Rule::CrateHeader`] — crate roots carry `#![forbid(unsafe_code)]`

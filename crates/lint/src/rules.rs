@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `no-thread-spawn` | all parallelism flows through the slot-ordered `stats::par` primitives |
 //! | `no-entropy-rng` | every RNG is explicitly seeded; no ambient entropy |
-//! | `no-wall-clock` | wall-clock values never reach an output path outside benches/telemetry |
+//! | `no-wall-clock` | wall-clock values never reach an output path; telemetry reads carry a justified pragma |
 //! | `hash-iter` | hash-table iteration order never reaches an output path |
 //! | `crate-header` | every crate root forbids `unsafe` and keeps the docs policy |
 //! | `snapshot-format` | every snapshot byte flows through the `checkpoint` envelope codec — no raw byte I/O in the sim crate |
@@ -35,7 +35,7 @@ pub enum Rule {
     NoThreadSpawn,
     /// Ambient-entropy RNG construction (`thread_rng`, `from_entropy`, ...).
     NoEntropyRng,
-    /// `Instant` / `SystemTime` outside the bench/timing allowlist.
+    /// `Instant` / `SystemTime` without a justified pragma.
     NoWallClock,
     /// Iteration over `HashMap` / `HashSet` without a justification.
     HashIter,
@@ -117,9 +117,6 @@ pub struct FileClass {
     /// Crate roots of product crates must also carry the missing-docs
     /// policy (shims mirror external crate APIs and are exempt).
     pub require_missing_docs: bool,
-    /// `Instant` / `SystemTime` are legitimate here (bench harnesses and
-    /// the criterion shim).
-    pub wall_clock_allowed: bool,
     /// `std::thread::{spawn,scope}` is legitimate here — only
     /// `crates/stats/src/par.rs`, the home of the slot-ordered primitives.
     pub thread_spawn_allowed: bool,
@@ -281,15 +278,16 @@ fn scan_tokens(lexed: &Lexed<'_>, class: &FileClass, emit: &mut dyn FnMut(u32, R
                     .to_string(),
             );
         }
-        // no-wall-clock: `Instant` / `SystemTime` outside the allowlist.
-        if (tok.text == "Instant" || tok.text == "SystemTime") && !class.wall_clock_allowed {
+        // no-wall-clock: every `Instant` / `SystemTime`; the pragma is the
+        // only escape.
+        if tok.text == "Instant" || tok.text == "SystemTime" {
             emit(
                 tok.line,
                 Rule::NoWallClock,
                 format!(
-                    "`{}` outside the bench/timing allowlist — wall-clock values must \
-                     never reach an output path (deterministic reports omit them); \
-                     telemetry-only uses take `// lint:allow(no-wall-clock) <why>`",
+                    "`{}` is wall-clock time — wall-clock values must never reach an \
+                     output path (deterministic reports omit them); telemetry-only uses \
+                     take `// lint:allow(no-wall-clock) <why>`",
                     tok.text
                 ),
             );

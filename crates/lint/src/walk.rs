@@ -49,9 +49,6 @@ pub fn classify(rel: &str) -> FileClass {
         // Shim crates mirror external crate APIs; the docs policy applies
         // to the product crates (and the workspace-root package) only.
         require_missing_docs: crate_root && !rel.starts_with("shims/"),
-        // Bench harnesses measure wall time by design, and the criterion
-        // shim *is* the timing harness.
-        wall_clock_allowed: rel.starts_with("crates/bench/") || rel.starts_with("shims/criterion/"),
         // The one sanctioned home of thread spawning: the slot-ordered
         // fan-out primitives themselves.
         thread_spawn_allowed: rel == "crates/stats/src/par.rs",

@@ -136,16 +136,6 @@ fn f() -> u64 {
 }
 
 #[test]
-fn wall_clock_allowlisted_bench_is_clean() {
-    let src = "fn f() { let _ = std::time::Instant::now(); }";
-    let bench = FileClass {
-        wall_clock_allowed: true,
-        ..FileClass::default()
-    };
-    assert!(findings(src, &bench).is_empty());
-}
-
-#[test]
 fn instantiates_in_docs_does_not_trigger() {
     // `Instant` must match on identifier boundaries — and comments are
     // skipped entirely, so even a literal mention is fine.

@@ -39,7 +39,7 @@ fn live_workspace_lints_clean() {
 fn classification_matches_layout() {
     let root = classify("crates/core/src/lib.rs");
     assert!(root.crate_root && root.require_missing_docs);
-    assert!(!root.wall_clock_allowed && !root.thread_spawn_allowed);
+    assert!(!root.thread_spawn_allowed);
 
     let shim = classify("shims/rand/src/lib.rs");
     assert!(shim.crate_root && !shim.require_missing_docs);
@@ -47,14 +47,8 @@ fn classification_matches_layout() {
     let module = classify("crates/core/src/figures/fig4.rs");
     assert!(!module.crate_root);
 
-    let bench = classify("crates/bench/src/pipeline.rs");
-    assert!(bench.wall_clock_allowed);
-
     let par = classify("crates/stats/src/par.rs");
     assert!(par.thread_spawn_allowed && !par.crate_root);
-
-    let criterion = classify("shims/criterion/src/lib.rs");
-    assert!(criterion.wall_clock_allowed);
 
     // The snapshot-format guard covers the sim crate, except the envelope
     // codec itself.
@@ -64,5 +58,5 @@ fn classification_matches_layout() {
     assert!(faults.snapshot_guarded);
     let codec = classify("crates/sim/src/checkpoint.rs");
     assert!(!codec.snapshot_guarded);
-    assert!(!root.snapshot_guarded && !bench.snapshot_guarded);
+    assert!(!root.snapshot_guarded);
 }

@@ -34,13 +34,14 @@
 //! per-swarm window loops of [`SegmentedRun`] make batch boundaries
 //! invisible).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Matcher, MatcherKind, Peer, SwarmKey, SwarmPolicy};
 use consume_local_topology::{ExchangeId, IspId, PopId, UserLocation};
-use consume_local_trace::{device::BitrateClass, ContentId, SessionStore, SimTime};
+use consume_local_trace::{device::BitrateClass, ContentId, SessionRecord, SessionStore, SimTime};
 
 use crate::checkpoint::{CheckpointError, Checkpointer, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
@@ -1228,13 +1229,18 @@ impl SegmentedRun {
     /// sessions. Head swarms thus get chunks of their own, and a batch that
     /// brings no work spawns no thread.
     ///
+    /// Sessions starting at or past the horizon never run a window, so the
+    /// run leaves them out: they get no machine, no session count and no
+    /// share of the sort-key maxima (the watermark contract in
+    /// [`crate::source`]).
+    ///
     /// # Panics
     ///
     /// Panics if `watermark` is below the previous watermark, if a session
     /// in `batch` starts outside `[previous watermark, watermark)`, or if
-    /// a session's user id is not below the run's population length (its
-    /// bytes would have no per-user row to land in). All three are checked
-    /// before any state changes.
+    /// the user id of a session before the horizon is not below the run's
+    /// population length (its bytes would have no per-user row to land
+    /// in). All three are checked before any state changes.
     pub fn push_batch(&mut self, batch: &SessionStore, watermark: u64) {
         assert!(
             watermark >= self.watermark,
@@ -1247,6 +1253,7 @@ impl SegmentedRun {
                     && *batch.start_secs().last().expect("non-empty") < watermark),
             "batch sessions must start in [previous watermark, watermark)"
         );
+        let batch = &*before_horizon(batch, self.horizon_secs);
         let (s, u, c) = batch.sort_key_maxima();
         assert!(
             batch.is_empty() || (u as usize) < self.users.len(),
@@ -1608,9 +1615,9 @@ impl Simulator {
     ///
     /// Any [`CheckpointError`]: envelope violations from the reader,
     /// [`CheckpointError::Corrupt`] for structurally invalid payloads
-    /// (unknown tags, out-of-order keys, a population with more rows than
-    /// the payload holds, user ids outside the population, an invalid
-    /// configuration).
+    /// (unknown tags, out-of-order keys, more closed days than spilled
+    /// ones, a population with more rows than the payload holds, user ids
+    /// outside the population, an invalid configuration).
     pub fn resume(input: &mut impl Read) -> Result<SegmentedRun, CheckpointError> {
         let mut r = SnapshotReader::from_reader(input)?;
         let config = take_config(&mut r)?;
@@ -1633,6 +1640,11 @@ impl Simulator {
         if spilled_days != sealed_days(watermark, horizon_secs) {
             return Err(CheckpointError::Corrupt(
                 "spilled days differ from the days the watermark sealed",
+            ));
+        }
+        if closed_days > spilled_days {
+            return Err(CheckpointError::Corrupt(
+                "closed days exceed the spilled days",
             ));
         }
         let cells = r.take_len("spilled cell count")?;
@@ -2081,6 +2093,22 @@ fn add_user_bytes<'a>(users: &mut [UserTraffic], rows: impl IntoIterator<Item = 
     }
 }
 
+/// The sessions of `store` that start before `horizon_secs`, the only ones
+/// a run simulates: one binary search over the start column, and the store
+/// itself, uncopied, when nothing lies past the horizon.
+fn before_horizon(store: &SessionStore, horizon_secs: u64) -> Cow<'_, SessionStore> {
+    let cut = store.first_at_or_after(horizon_secs);
+    if cut == store.len() {
+        return Cow::Borrowed(store);
+    }
+    let records: Vec<SessionRecord> = (0..cut).map(|i| store.record(i)).collect();
+    Cow::Owned(SessionStore::from_records(
+        &records,
+        store.horizon_secs(),
+        store.population_len(),
+    ))
+}
+
 /// Groups a store's sessions into sub-swarms with one stable key sort
 /// instead of a `HashMap<SwarmKey, Vec<u32>>` rebuild: ties keep the
 /// trace's canonical start order (so within a swarm, indices stay
@@ -2246,6 +2274,7 @@ impl Simulator {
     /// [`ActiveSet`], over the whole store in one pass. Kept only as the
     /// oracle the SoA fast path is property-tested against.
     fn run_store_rows(&self, store: &SessionStore) -> SimReport {
+        let store = &*before_horizon(store, store.horizon_secs());
         let (indices, keyed) = group_by_swarm(&self.config, store);
         let outputs = crate::par::parallel_map(keyed.len(), self.config.threads, |i| {
             let (key, range) = &keyed[i];
@@ -2908,15 +2937,17 @@ mod tests {
         /// ISPs / 8 exchanges, 6 items, a 2-day horizon, devices drawn from
         /// the real mix. Small enough that swarms overlap heavily, large
         /// enough to exercise admit/retire churn and the idle-gap jump.
+        /// Starts run 2 h past the horizon, so both paths meet sessions
+        /// they must leave out.
         fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
             let record = (
-                0u32..40,         // user
-                0u32..6,          // content
-                0u64..2 * 86_400, // start
-                60u32..5_000,     // duration
-                0usize..5,        // device (MIX index)
-                0u8..2,           // isp
-                0u32..8,          // exchange
+                0u32..40,                 // user
+                0u32..6,                  // content
+                0u64..2 * 86_400 + 7_200, // start
+                60u32..5_000,             // duration
+                0usize..5,                // device (MIX index)
+                0u8..2,                   // isp
+                0u32..8,                  // exchange
             )
                 .prop_map(|(user, content, start, duration, device, isp, exchange)| {
                     let topo = IspTopology::new(8, 2).unwrap();

@@ -375,7 +375,7 @@ impl Default for ReplayConfig {
 }
 
 /// What [`replay`] observed on the stream (all deterministic — wall time is
-/// deliberately absent; benches measure it outside).
+/// deliberately absent; the benchmark measures it outside).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Sessions fed through the channel.

@@ -61,7 +61,9 @@ pub struct CrashOutcome {
 /// producer would emit at `tick_secs`: batch `i` holds the sessions
 /// starting in `[i·tick, (i+1)·tick)`, watermarked at `(i+1)·tick`, with
 /// the final watermark the first tick at or past the horizon (so every day
-/// closes through the same cadence). A pure function of `(store, tick)` —
+/// closes through the same cadence). Sessions starting at or past that
+/// final watermark are not scheduled; the engine leaves them out of a run
+/// anyway (see [`crate::source`]). A pure function of `(store, tick)` —
 /// the crash harness replays prefixes of it deterministically.
 ///
 /// # Panics

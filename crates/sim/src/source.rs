@@ -47,6 +47,13 @@
 //! content) — [`SessionStore`] construction enforces that. Watermarks need
 //! not align to days or windows, and `u64::MAX` (or anything at or past
 //! the horizon) marks a final batch.
+//!
+//! A session that starts at or past the horizon runs no window, so it is
+//! not part of the run: the engine leaves it out of every batch, with no
+//! swarm, no session count and no share of the sort-key maxima. A source
+//! may therefore hand such sessions over (the whole-store batch) or drop
+//! them (the online schedule stops at the horizon) and give the same
+//! report.
 
 use consume_local_trace::metro::MetroStream;
 use consume_local_trace::time::SECS_PER_DAY;

@@ -239,9 +239,11 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     }
 
     // A spilled-day count that disagrees with the watermark is corrupt
-    // even under a valid digest. The payload holds the watermark, closed
-    // days and spilled days as consecutive u64s (2 days sealed, none
-    // drained); claim 3 spilled days and re-seal the digest.
+    // even under a valid digest, and so is a closed-day count above the
+    // spilled days: its resume would never emit the days it skipped. The
+    // payload holds the watermark, closed days and spilled days as
+    // consecutive u64s (2 days sealed, none drained); claim 3 spilled
+    // (offset 16) or 3 closed (offset 8) days and re-seal the digest.
     let payload = 20..pristine.len() - 8;
     let header: Vec<u8> = [2 * DAY, 0, 2]
         .iter()
@@ -251,14 +253,19 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
         .windows(header.len())
         .position(|w| w == header)
         .expect("the run header is in the payload");
-    let mut bytes = pristine.clone();
-    bytes[payload.start + at + 16] = 3;
-    let digest = checkpoint::fnv1a(&bytes[payload.clone()]);
-    bytes[payload.end..].copy_from_slice(&digest.to_le_bytes());
-    assert!(matches!(
-        Simulator::resume(&mut bytes.as_slice()),
-        Err(CheckpointError::Corrupt(_))
-    ));
+    for offset in [16, 8] {
+        let mut bytes = pristine.clone();
+        bytes[payload.start + at + offset] = 3;
+        let digest = checkpoint::fnv1a(&bytes[payload.clone()]);
+        bytes[payload.end..].copy_from_slice(&digest.to_le_bytes());
+        assert!(
+            matches!(
+                Simulator::resume(&mut bytes.as_slice()),
+                Err(CheckpointError::Corrupt(_))
+            ),
+            "forged header field at offset {offset}"
+        );
+    }
 
     // So is a population too small for the user ids the snapshot holds:
     // every restored active and carried session must index the per-user

@@ -128,6 +128,30 @@ fn generated_trace_segments_and_stream_replay_identically() {
     assert_eq!(sim.simulate(&mut stream), monolithic);
 }
 
+#[test]
+fn past_horizon_sessions_give_one_report_whatever_the_source() {
+    // A generated month holds no session past its horizon (the generator
+    // drops them). Add one, 100 000 s past the horizon on an item of its
+    // own: the whole store hands it to the engine, the daily schedule
+    // stops at the horizon, and both must give the month's report.
+    let config = ScalePreset::Smoke.apply(TraceConfig::london_sep2013());
+    let trace = TraceGenerator::new(config, 5).generate().unwrap();
+    let horizon = trace.horizon_seconds();
+    let mut records = trace.sessions().to_vec();
+    assert!(records.iter().all(|r| r.start.as_secs() < horizon));
+    let last_item = records.iter().map(|r| r.content.0).max().unwrap();
+    records.push(SessionRecord {
+        content: ContentId(last_item + 1),
+        start: SimTime(horizon + 100_000),
+        ..records[0]
+    });
+    let store = SessionStore::from_records(&records, horizon, trace.population().len());
+    let sim = Simulator::new(SimConfig::default());
+    let month = sim.simulate(&trace);
+    assert_eq!(sim.simulate(&store), month);
+    assert_eq!(simulate_by_day(&sim, &store), month);
+}
+
 /// `store` pushed through one run as one batch per day, each watermarked
 /// at its day's end.
 fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {

@@ -1,7 +1,7 @@
 //! Tiny end-to-end smoke test: the full trace → simulation → report →
 //! energy/carbon pipeline at ~100 users, so `cargo test -q` exercises the
 //! whole `Experiment` orchestration path and not only the per-crate units
-//! (the larger-scale runs live in `pipeline.rs` and the benches).
+//! (the larger-scale runs live in `pipeline.rs` and `examples/paper.rs`).
 
 use consume_local::carbon::CreditReport;
 use consume_local::prelude::*;
