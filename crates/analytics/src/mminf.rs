@@ -170,13 +170,15 @@ pub fn capacity_from_active_mean(l_bar: f64) -> f64 {
     }
     let f = |c: f64| c / -(-c).exp_m1();
     let (mut lo, mut hi) = (1e-12f64, 60.0f64);
+    // A step that leaves `(lo, hi)` unchanged leaves it unchanged for every
+    // later step too, so stopping there returns the bits of all 100 steps.
     for _ in 0..100 {
         let mid = 0.5 * (lo + hi);
-        if f(mid) < l_bar {
-            lo = mid;
-        } else {
-            hi = mid;
+        let end = if f(mid) < l_bar { &mut lo } else { &mut hi };
+        if *end == mid {
+            break;
         }
+        *end = mid;
     }
     0.5 * (lo + hi)
 }
@@ -261,6 +263,43 @@ mod tests {
             assert!(
                 (back - c).abs() < 1e-6 * c.max(1.0),
                 "c={c}: l_bar={l_bar} back={back}"
+            );
+        }
+    }
+
+    /// The bisection's early stop returns the bits of all 100 steps: values
+    /// within 1e-9 of 1, values near 30 and random values in (1, 30].
+    #[test]
+    fn active_mean_inversion_stops_at_its_fixed_point() {
+        fn hundred_steps(l_bar: f64) -> f64 {
+            let f = |c: f64| c / -(-c).exp_m1();
+            let (mut lo, mut hi) = (1e-12f64, 60.0f64);
+            for _ in 0..100 {
+                let mid = 0.5 * (lo + hi);
+                if f(mid) < l_bar {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+        let mut values: Vec<f64> = (1..=100).map(|k| 1.0 + k as f64 * 1e-11).collect();
+        values.extend((0..100).map(|k| 30.0 - k as f64 * 1e-3));
+        values.extend([1.0 + f64::EPSILON, 29.999_999_999, 30.0]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        values.extend((0..10_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            30.0 - 29.0 * (x >> 11) as f64 / (1u64 << 53) as f64
+        }));
+        for l_bar in values {
+            assert!(l_bar > 1.0 && l_bar <= 30.0, "{l_bar}");
+            assert_eq!(
+                capacity_from_active_mean(l_bar).to_bits(),
+                hundred_steps(l_bar).to_bits(),
+                "l_bar = {l_bar}"
             );
         }
     }

@@ -3,12 +3,14 @@
 //! For every sub-swarm the engine sweeps the trace in Δτ windows, skipping
 //! idle gaps, and delegates per-window upload assignment to the configured
 //! matcher. Sub-swarms are independent, so every batch advances their
-//! machines across std-scoped worker threads, in contiguous chunks of the
-//! key-sorted machines cut by a deterministic per-machine cost: the key
-//! leads with the popularity rank, so the head swarms sit at the front and
-//! get chunks of their own. Results are merged in deterministic key order
-//! and the random matcher is seeded per swarm, so the report is
-//! bit-identical regardless of thread count.
+//! machines across std-scoped worker threads, in contiguous chunks cut by a
+//! deterministic per-machine cost: the key leads with the popularity rank,
+//! so the head swarms, created first, sit at the front and get chunks of
+//! their own. A batch visits only the machines it brings sessions to and
+//! those still holding sessions, found through a key → slot index, so a
+//! small batch costs what it brings, not what the run holds. Results are
+//! merged in deterministic key order and the random matcher is seeded per
+//! swarm, so the report is bit-identical regardless of thread count.
 //!
 //! A swarm's windows come in **membership runs**: between two admissions
 //! or retirements the active set, and with it every matcher input, is
@@ -35,7 +37,8 @@
 //! invisible).
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 
 use consume_local_swarm::matching::MatchOutcome;
@@ -202,6 +205,9 @@ impl Simulator {
             sim: self.clone(),
             horizon_secs,
             states: Vec::new(),
+            index: BTreeMap::new(),
+            live: Vec::new(),
+            touched: Vec::new(),
             users: vec![UserTraffic::default(); population_len],
             watermark: 0,
             closed_days: 0,
@@ -1015,21 +1021,11 @@ impl SwarmSim {
     }
 
     /// What [`cost_chunks`] charges for advancing the machine over a batch
-    /// that brings it `new_sessions` sessions: nothing when it is quiescent
-    /// and gets none, otherwise one for the visit plus every session it
+    /// that brings it `new_sessions` sessions (none for the final drain and
+    /// [`SwarmSim::take_output`]): one for the visit plus every session it
     /// admits, holds active or carries.
-    fn push_cost(&self, new_sessions: usize) -> u64 {
-        if new_sessions == 0 && self.is_quiescent() {
-            return 0;
-        }
+    fn cost(&self, new_sessions: usize) -> u64 {
         (1 + new_sessions + self.active.len() + self.carry.len()) as u64
-    }
-
-    /// What [`cost_chunks`] charges for the final drain and
-    /// [`SwarmSim::take_output`]: one for the visit plus every session
-    /// still active or carried.
-    fn finish_cost(&self) -> u64 {
-        (1 + self.active.len() + self.carry.len()) as u64
     }
 
     /// Compacts a quiescent machine to its dormant form: window-loop
@@ -1039,19 +1035,20 @@ impl SwarmSim {
     /// so dormancy cannot affect results — only the resident footprint.
     /// Hundreds of thousands of machines persist across a full-scale run
     /// but only a day's worth are ever mid-session, so this is the
-    /// per-swarm RSS lever.
+    /// per-swarm RSS lever. A dormant machine is left as it is.
     fn freeze(&mut self) {
         debug_assert!(self.is_quiescent());
+        let MatcherSlot::Live(m) = &self.matcher else {
+            return;
+        };
+        self.matcher = MatcherSlot::Dormant {
+            word: m.checkpoint_word(),
+        };
         self.active = ActiveSet::default();
         self.carry = VecDeque::new();
         self.outcome = MatchOutcome::default();
         self.needs_flaked = Vec::new();
         self.cycle_ledgers = Vec::new();
-        if let MatcherSlot::Live(m) = &self.matcher {
-            self.matcher = MatcherSlot::Dormant {
-                word: m.checkpoint_word(),
-            };
-        }
         self.daily.shrink_to_fit();
     }
 
@@ -1076,18 +1073,19 @@ impl SwarmSim {
 /// batch — hundreds of millions at full scale.
 const CHUNKS_PER_WORKER: u64 = 8;
 
-/// Contiguous chunk offsets fanning the key-sorted per-swarm states out
-/// over `workers` threads, cut by each state's deterministic cost
-/// ([`SwarmSim::push_cost`] or [`SwarmSim::finish_cost`]) instead of by
-/// count.
+/// Contiguous chunk offsets fanning a list of per-swarm machines out over
+/// `workers` threads, cut by each machine's deterministic cost
+/// ([`SwarmSim::cost`]) instead of by count.
 ///
-/// The key leads with [`ContentId`], which is the popularity rank, so the
-/// head swarms sit at the front: chunks of equal *count* would hand the
-/// first one most of the work. Here a chunk closes as soon as its cost
-/// reaches the target `total / (workers × 8)`, rounded up. A head swarm at
-/// or above the target therefore gets a chunk of its own, and
-/// [`parallel_map_slices`] steals chunks in index order, so the head
-/// swarms start first.
+/// The swarm key leads with [`ContentId`], which is the popularity rank.
+/// A push's work list is in slot order, and a batch creates its new
+/// machines in key order, so the head swarms — created by the first
+/// batches — sit near the front, as they do in the key-ordered final
+/// drain: chunks of equal *count* would hand the first one most of the
+/// work. Here a chunk closes as soon as its cost reaches the target
+/// `total / (workers × 8)`, rounded up. A head swarm at or above the
+/// target therefore gets a chunk of its own, and [`parallel_map_slices`]
+/// steals chunks in index order, so the head swarms start first.
 ///
 /// The offsets are ascending and cover `0..costs.len()` in at most
 /// `workers × 8` chunks, each costing at most the target plus its heaviest
@@ -1117,6 +1115,47 @@ fn cost_chunks(costs: &[u64], workers: usize) -> Vec<usize> {
         *offsets.last_mut().expect("total > 0 closed a chunk") = costs.len();
     }
     offsets
+}
+
+/// A push's work list: the `live` slots and the batch's `(slot, sessions)`
+/// pairs, both ascending, merged into one ascending list of distinct slots,
+/// each with its batch sessions (none for a live machine the batch does
+/// not reach).
+fn merge_work<'b>(live: &[u32], batch: &[(u32, &'b [u32])]) -> Vec<(u32, &'b [u32])> {
+    let mut work = Vec::with_capacity(live.len() + batch.len());
+    let mut live = live.iter().copied().peekable();
+    for &(slot, sessions) in batch {
+        while let Some(l) = live.next_if(|&l| l < slot) {
+            work.push((l, &[][..]));
+        }
+        live.next_if_eq(&slot);
+        work.push((slot, sessions));
+    }
+    work.extend(live.map(|l| (l, &[][..])));
+    work
+}
+
+/// Exclusive references to the machines at the ascending, distinct slots
+/// of `work`, each paired with its batch sessions: one walk of
+/// `split_at_mut` over `states`, so the borrow checker proves the
+/// references disjoint.
+fn gather_machines<'s, 'b>(
+    states: &'s mut [SwarmState],
+    work: &[(u32, &'b [u32])],
+) -> Vec<(&'s mut SwarmState, &'b [u32])> {
+    let mut machines = Vec::with_capacity(work.len());
+    let mut rest = states;
+    let mut next = 0usize;
+    for &(slot, sessions) in work {
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(slot as usize - next);
+        let (state, tail) = tail
+            .split_first_mut()
+            .expect("work slots index the machines");
+        machines.push((state, sessions));
+        rest = tail;
+        next = slot as usize + 1;
+    }
+    machines
 }
 
 /// One spilled (sealed) day of a swarm's ledger, kept in the compact form
@@ -1152,8 +1191,11 @@ struct SwarmState {
     /// per-swarm session count, accumulated per segment).
     sessions: u64,
     /// Sealed days spilled out of the machine's `daily` list, day-ordered
-    /// (see [`SegmentedRun::spill_sealed_days`]).
+    /// (see [`SegmentedRun::seal_days`]).
     frozen: Vec<FrozenDay>,
+    /// Whether the machine's slot is listed in [`SegmentedRun`]'s
+    /// `touched` list (derived state: a snapshot does not carry it).
+    touched: bool,
     swarm: SwarmSim,
 }
 
@@ -1168,11 +1210,25 @@ impl std::fmt::Debug for SwarmSim {
 }
 
 /// An in-progress incremental simulation (see [`Simulator::begin`]):
-/// persistent per-swarm window-loop machines, keyed and key-sorted,
-/// advanced one watermarked session batch at a time. Every batch — a day,
-/// a 15-minute tick or the whole horizon at once — takes the same path:
-/// upsert the batch's swarms, then advance the machines with work in
-/// cost-balanced chunks, freezing the ones that fall quiescent.
+/// persistent per-swarm window-loop machines, advanced one watermarked
+/// session batch at a time. Every batch — a day, a 15-minute tick or the
+/// whole horizon at once — takes the same path: upsert the batch's swarms,
+/// then advance the machines with work in cost-balanced chunks.
+///
+/// A machine keeps the slot it was created in, and a key → slot index
+/// serves lookups and the key-ordered walks of the report and the
+/// snapshot. Two slot lists bound what a push visits:
+///
+/// - the **live** machines, those holding active or carried sessions:
+///   with the batch's machines, they are all a push advances;
+/// - the **touched** machines, those advanced since the last day seal or
+///   still holding unspilled days: all a day seal spills and freezes.
+///
+/// So a push costs what its batch and the live sessions bring, not what
+/// the run has accumulated. A machine that falls quiescent stays warm
+/// (matcher built, buffers kept) until the next push that seals a day
+/// freezes it, so a session arriving later the same day does not rebuild
+/// it; at most the machines touched since the last seal stay warm.
 ///
 /// Peak memory is the batch being fed plus the engine's own state
 /// (active/carried sessions, accumulators and the growing report) — the
@@ -1182,8 +1238,17 @@ impl std::fmt::Debug for SwarmSim {
 pub struct SegmentedRun {
     sim: Simulator,
     horizon_secs: u64,
-    /// Key-sorted persistent per-swarm machines.
+    /// Persistent per-swarm machines, in slot (creation) order.
     states: Vec<SwarmState>,
+    /// Every machine's slot, by key.
+    index: BTreeMap<SwarmKey, u32>,
+    /// Slots of the machines holding active or carried sessions, ascending.
+    live: Vec<u32>,
+    /// Slots of the machines advanced since the last day seal or still
+    /// holding unspilled `daily` entries, unordered; each has its
+    /// `touched` flag set. Every quiescent machine outside this list is
+    /// frozen.
+    touched: Vec<u32>,
     /// Per-user totals of every session that has left its swarm's active
     /// set, one per user of the population, indexed by user id; sessions
     /// still active hold their bytes in their machine's [`ActiveSet`]
@@ -1223,11 +1288,15 @@ impl SegmentedRun {
     /// monolithic store's shape) is no special case: it is one push whose
     /// advance runs every machine to the horizon.
     ///
-    /// The fan-out is cut by cost, not by count: a machine that is
-    /// quiescent and gets no sessions costs nothing and is skipped, any
-    /// other costs one plus its batch sessions, active and carried
-    /// sessions. Head swarms thus get chunks of their own, and a batch that
-    /// brings no work spawns no thread.
+    /// A push visits only the machines its batch brings sessions to and
+    /// the live ones, merged in slot order into one work list; a new swarm
+    /// takes the next slot, so nothing is re-sorted. The fan-out over the
+    /// work list is cut by cost, not by count: a machine costs one plus
+    /// its batch sessions, active and carried sessions. Head swarms thus
+    /// get chunks of their own, and a batch that brings no work and finds
+    /// no live machine spawns no thread. A push that seals a day also
+    /// spills it and freezes every machine that fell quiescent since the
+    /// last seal.
     ///
     /// Sessions starting at or past the horizon never run a window, so the
     /// run leaves them out: they get no machine, no session count and no
@@ -1273,17 +1342,24 @@ impl SegmentedRun {
         let (indices, groups) = group_by_swarm(&self.sim.config, batch);
 
         // 2. Upsert machines: existing swarms count their new sessions, new
-        //    keys get a machine initialised from their earliest session.
-        let mut fresh: Vec<SwarmState> = Vec::new();
+        //    keys get the next slot and a machine initialised from their
+        //    earliest session. Then the batch's machines go in slot order.
+        let mut batch_work: Vec<(u32, &[u32])> = Vec::with_capacity(groups.len());
         for (key, range) in &groups {
-            match self.states.binary_search_by(|s| s.key.cmp(key)) {
-                Ok(idx) => self.states[idx].sessions += range.len() as u64,
-                Err(_) => {
+            let slot = match self.index.entry(*key) {
+                Entry::Occupied(e) => {
+                    let slot = *e.get();
+                    self.states[slot as usize].sessions += range.len() as u64;
+                    slot
+                }
+                Entry::Vacant(e) => {
+                    let slot = u32::try_from(self.states.len()).expect("fewer than 2^32 swarms");
                     let first = indices[range.start] as usize;
-                    fresh.push(SwarmState {
+                    self.states.push(SwarmState {
                         key: *key,
                         sessions: range.len() as u64,
                         frozen: Vec::new(),
+                        touched: false,
                         swarm: SwarmSim::new(
                             &self.sim,
                             *key,
@@ -1291,82 +1367,94 @@ impl SegmentedRun {
                             batch.device()[first].bitrate_bps(),
                         ),
                     });
+                    *e.insert(slot)
                 }
-            }
+            };
+            batch_work.push((slot, &indices[range.clone()]));
         }
-        if !fresh.is_empty() {
-            self.states.extend(fresh);
-            self.states.sort_by_key(|s| s.key);
-        }
+        batch_work.sort_unstable_by_key(|&(slot, _)| slot);
 
-        // 3. Pair every machine with its batch sessions and price its
-        //    advance, in one merge walk: states and groups are both
-        //    key-sorted, and after the upsert every group has a machine.
-        let mut pending = groups.iter().peekable();
-        let (work, costs): (Vec<&[u32]>, Vec<u64>) = self
-            .states
-            .iter()
-            .map(|s| {
-                let sessions = match pending.next_if(|(key, _)| *key == s.key) {
-                    Some((_, range)) => &indices[range.clone()],
-                    None => &[][..],
-                };
-                (sessions, s.swarm.push_cost(sessions.len()))
-            })
-            .unzip();
-        debug_assert!(pending.next().is_none(), "every group has a machine");
+        // 3. The work list: the live machines and the batch's, merged in
+        //    slot order, each with its batch sessions. Every machine on it
+        //    has work; no other machine does.
+        let work = merge_work(&self.live, &batch_work);
 
-        // 4. Advance every machine with work, in parallel over disjoint
-        //    cost-balanced chunks (slot-ordered: the final state of every
-        //    machine is independent of which thread ran it). Each chunk
-        //    lists the bytes of the sessions its machines retired, and the
-        //    lists fold into the per-user totals once the pass is over.
-        let offsets = cost_chunks(&costs, self.sim.config.threads);
+        // 4. Advance the work list in parallel over disjoint cost-balanced
+        //    chunks (slot-ordered: the final state of every machine is
+        //    independent of which thread ran it). Each chunk lists the
+        //    bytes of the sessions its machines retired, and the lists fold
+        //    into the per-user totals once the pass is over. A push that
+        //    seals a day freezes its quiescent machines right here, so a
+        //    daily push's freezes run in parallel, not in the seal walk.
+        let seals = sealed_days(watermark, self.horizon_secs) > self.spilled_days;
         let sim = &self.sim;
         let horizon = self.horizon_secs;
-        let retired = parallel_map_slices(
-            &mut self.states,
-            &offsets,
-            sim.config.threads,
-            |ci, chunk| {
-                let base = offsets[ci];
+        let mut machines = gather_machines(&mut self.states, &work);
+        let costs: Vec<u64> = machines
+            .iter()
+            .map(|(state, sessions)| state.swarm.cost(sessions.len()))
+            .collect();
+        let offsets = cost_chunks(&costs, sim.config.threads);
+        let retired =
+            parallel_map_slices(&mut machines, &offsets, sim.config.threads, |_, chunk| {
                 let mut retired = Vec::new();
-                for (j, state) in chunk.iter_mut().enumerate() {
-                    if costs[base + j] == 0 {
-                        continue;
-                    }
+                for (state, sessions) in chunk {
                     let swarm = &mut state.swarm;
-                    swarm.advance(sim, batch, work[base + j], limit, horizon, &mut retired);
-                    if swarm.is_quiescent() {
+                    swarm.advance(sim, batch, sessions, limit, horizon, &mut retired);
+                    if seals && swarm.is_quiescent() {
                         swarm.freeze();
                     }
                 }
                 retired
-            },
-        );
+            });
+        drop(machines);
         add_user_bytes(&mut self.users, retired.iter().flatten());
-        self.spill_sealed_days();
+
+        // 5. Re-list the live machines (every one was on the work list,
+        //    so the list stays ascending) and note the newly touched ones.
+        self.live.clear();
+        for &(slot, _) in &work {
+            let state = &mut self.states[slot as usize];
+            if !state.swarm.is_quiescent() {
+                self.live.push(slot);
+            }
+            if !state.touched {
+                state.touched = true;
+                self.touched.push(slot);
+            }
+        }
+        if seals {
+            self.seal_days();
+        }
     }
 
-    /// Spills every newly sealed day out of the per-swarm machines: each
-    /// sealed `(day, ledger)` entry is folded into the run-level day × ISP
-    /// cells (commutative `u64` sums, so any fold order equals the final
-    /// report's sort-and-merge bytes) and replaced by a compact
-    /// [`FrozenDay`]. A day is sealed once the watermark passes its end —
-    /// machines with pending work always advance to the watermark and
-    /// later sessions start at or after it, so sealed entries can never
-    /// grow again (the invariant [`SegmentedRun::drain_closed_days`]
-    /// already relies on).
-    fn spill_sealed_days(&mut self) {
+    /// Seals every day the watermark has newly sealed, walking only the
+    /// touched machines (every other one is frozen and holds no unspilled
+    /// day):
+    ///
+    /// - **Spill.** Each sealed `(day, ledger)` entry is folded into the
+    ///   run-level day × ISP cells (commutative `u64` sums, so any fold
+    ///   order equals the final report's sort-and-merge bytes) and
+    ///   replaced by a compact [`FrozenDay`]. A day is sealed once the
+    ///   watermark passes its end — machines with pending work always
+    ///   advance to the watermark and later sessions start at or after
+    ///   it, so sealed entries can never grow again (the invariant
+    ///   [`SegmentedRun::drain_closed_days`] already relies on).
+    /// - **Freeze.** Every quiescent machine is compacted
+    ///   ([`SwarmSim::freeze`]), so after a day seal no quiescent machine
+    ///   holds a built matcher.
+    ///
+    /// A machine leaves the touched list once it holds no unspilled day;
+    /// if it is live, its next advance lists it again.
+    fn seal_days(&mut self) {
         let sealed = sealed_days(self.watermark, self.horizon_secs);
-        if sealed <= self.spilled_days {
-            return;
-        }
-        // Per swarm-day cells of this round, collected in state (= key)
-        // order, then grouped exactly as `merge_outputs` groups the live
-        // ones. Days only ever grow, so grouped rounds concatenate sorted.
+        // Per swarm-day cells of this round, then grouped exactly as
+        // `merge_outputs` groups the live ones. Days only ever grow, so
+        // grouped rounds concatenate sorted.
         let mut cells: Vec<(u32, Option<IspId>, ByteLedger)> = Vec::new();
-        for state in &mut self.states {
+        let states = &mut self.states;
+        self.touched.retain(|&slot| {
+            let state = &mut states[slot as usize];
             let cut = state
                 .swarm
                 .daily
@@ -1380,7 +1468,12 @@ impl SegmentedRun {
                 });
                 cells.push((day, state.key.isp, ledger));
             }
-        }
+            if state.swarm.is_quiescent() {
+                state.swarm.freeze();
+            }
+            state.touched = !state.swarm.daily.is_empty();
+            state.touched
+        });
         cells.sort_by_key(|&(day, isp, _)| (day, isp));
         for (day, isp, ledger) in cells {
             match self.spilled_cells.last_mut() {
@@ -1436,6 +1529,7 @@ impl SegmentedRun {
             sim,
             horizon_secs,
             mut states,
+            index,
             mut users,
             closed_days,
             spilled_cells,
@@ -1444,32 +1538,39 @@ impl SegmentedRun {
             max_content,
             ..
         } = self;
+        // Every machine, in key order: the order of the report's swarms.
+        let mut slots: Vec<Option<&mut SwarmState>> = states.iter_mut().map(Some).collect();
+        let mut machines: Vec<&mut SwarmState> = index
+            .values()
+            .map(|&slot| slots[slot as usize].take().expect("one key per slot"))
+            .collect();
         // Drain and extract in one parallel pass: `take_output` leaves each
         // machine empty and hands out the bytes of the sessions still
         // active at the horizon, which fold in with the drain's retirees.
         let drain = SessionStore::from_records(&[], horizon_secs, 0);
-        let costs: Vec<u64> = states.iter().map(|s| s.swarm.finish_cost()).collect();
+        let costs: Vec<u64> = machines.iter().map(|s| s.swarm.cost(0)).collect();
         let offsets = cost_chunks(&costs, sim.config.threads);
-        let chunked = parallel_map_slices(&mut states, &offsets, sim.config.threads, |_, chunk| {
-            let mut parts = Vec::with_capacity(chunk.len());
-            let mut retired = Vec::new();
-            for state in chunk {
-                let swarm = &mut state.swarm;
-                if !swarm.is_quiescent() {
-                    swarm.advance(&sim, &drain, &[], u64::MAX, horizon_secs, &mut retired);
+        let chunked =
+            parallel_map_slices(&mut machines, &offsets, sim.config.threads, |_, chunk| {
+                let mut parts = Vec::with_capacity(chunk.len());
+                let mut retired = Vec::new();
+                for state in chunk {
+                    let swarm = &mut state.swarm;
+                    if !swarm.is_quiescent() {
+                        swarm.advance(&sim, &drain, &[], u64::MAX, horizon_secs, &mut retired);
+                    }
+                    let mut out = swarm.take_output(&mut retired);
+                    out.frozen = std::mem::take(&mut state.frozen);
+                    parts.push((state.key, state.sessions, out));
                 }
-                let mut out = swarm.take_output(&mut retired);
-                out.frozen = std::mem::take(&mut state.frozen);
-                parts.push((state.key, state.sessions, out));
-            }
-            (parts, retired)
-        });
+                (parts, retired)
+            });
         let (parts, retired): (Vec<_>, Vec<_>) = chunked.into_iter().unzip();
         add_user_bytes(&mut users, retired.iter().flatten());
         let parts: Vec<(SwarmKey, u64, SwarmOutput)> = parts.into_iter().flatten().collect();
 
         // Close the days the watermark never sealed, from the final
-        // (drained) per-swarm ledgers — chunk order is state order, so the
+        // (drained) per-swarm ledgers — chunk order is key order, so the
         // scan below sees each swarm's day-sorted list exactly once. Days
         // already spilled (but never drained) close from their grouped
         // cells; live `daily` lists hold only the days past the spill
@@ -1581,7 +1682,8 @@ impl SegmentedRun {
         w.put_u32(self.max_user);
         w.put_u32(self.max_content);
         w.put_len(self.states.len());
-        for state in &self.states {
+        for &slot in self.index.values() {
+            let state = &self.states[slot as usize];
             put_key(&mut w, &state.key);
             w.put_u64(state.sessions);
             w.put_len(state.frozen.len());
@@ -1671,8 +1773,12 @@ impl Simulator {
         let max_content = r.take_u32("sort-key maxima")?;
         let n = r.take_len("swarm count")?;
         let mut states = Vec::with_capacity(n);
+        let mut live = Vec::new();
+        let mut touched = Vec::new();
         let mut prev: Option<SwarmKey> = None;
-        for _ in 0..n {
+        let n =
+            u32::try_from(n).map_err(|_| CheckpointError::Corrupt("swarm count out of bounds"))?;
+        for slot in 0..n {
             let key = take_key(&mut r)?;
             if prev.is_some_and(|p| p >= key) {
                 return Err(CheckpointError::Corrupt("swarm keys out of order"));
@@ -1696,18 +1802,33 @@ impl Simulator {
                 });
             }
             let swarm = take_swarm(&mut r, &sim, &key, population_len)?;
+            // Machines come back in key order. A quiescent one comes back
+            // frozen, so only those with unspilled days are touched.
+            if !swarm.is_quiescent() {
+                live.push(slot);
+            }
+            let holds_days = !swarm.daily.is_empty();
+            if holds_days {
+                touched.push(slot);
+            }
             states.push(SwarmState {
                 key,
                 sessions,
                 frozen,
+                touched: holds_days,
                 swarm,
             });
         }
         r.finish()?;
+        // Keys in ascending order: the index is built in bulk.
+        let index = (0..).zip(&states).map(|(slot, s)| (s.key, slot)).collect();
         Ok(SegmentedRun {
             sim,
             horizon_secs,
             states,
+            index,
+            live,
+            touched,
             users,
             watermark,
             closed_days,
@@ -2109,15 +2230,16 @@ fn before_horizon(store: &SessionStore, horizon_secs: u64) -> Cow<'_, SessionSto
     ))
 }
 
-/// Groups a store's sessions into sub-swarms with one stable key sort
-/// instead of a `HashMap<SwarmKey, Vec<u32>>` rebuild: ties keep the
-/// trace's canonical start order (so within a swarm, indices stay
-/// start-ordered — the window loop's admission invariant) and swarms come
-/// out already key-ordered. Keys are assembled straight from the
-/// content/ISP/device columns. Every batch of [`SegmentedRun::push_batch`]
-/// goes through it: the grouping is part of the byte-identity contract
-/// between the monolithic and batch-sequential paths, so it must have
-/// exactly one definition.
+/// Groups a store's sessions into sub-swarms with one sort of packed
+/// integers instead of a `HashMap<SwarmKey, Vec<u32>>` rebuild: each
+/// session is one `u128` of its key ([`pack_key`]) above its store index,
+/// so the unstable sort orders by key and breaks ties by index. Within a
+/// swarm, indices therefore keep the trace's canonical start order (the
+/// window loop's admission invariant), and swarms come out key-ordered.
+/// Keys are assembled straight from the content/ISP/device columns. Every
+/// batch of [`SegmentedRun::push_batch`] goes through it: the grouping is
+/// part of the byte-identity contract between the monolithic and
+/// batch-sequential paths, so it must have exactly one definition.
 #[allow(clippy::type_complexity)]
 fn group_by_swarm(
     config: &SimConfig,
@@ -2125,29 +2247,37 @@ fn group_by_swarm(
 ) -> (Vec<u32>, Vec<(SwarmKey, std::ops::Range<usize>)>) {
     let content = store.content();
     let isp = store.isp();
-    let mut keyed_sessions: Vec<(SwarmKey, u32)> = (0..store.len())
-        .map(|i| {
-            let key =
-                config
-                    .policy
-                    .key_parts(ContentId(content[i]), isp[i], store.bitrate_class(i));
-            (key, i as u32)
-        })
+    let key_of = |i: usize| {
+        config
+            .policy
+            .key_parts(ContentId(content[i]), isp[i], store.bitrate_class(i))
+    };
+    let mut packed: Vec<u128> = (0..store.len())
+        .map(|i| pack_key(&key_of(i)) << 32 | i as u128)
         .collect();
-    keyed_sessions.sort_by_key(|&(key, _)| key);
-    let indices: Vec<u32> = keyed_sessions.iter().map(|&(_, i)| i).collect();
+    packed.sort_unstable();
+    let indices: Vec<u32> = packed.iter().map(|&p| p as u32).collect();
     let mut groups: Vec<(SwarmKey, std::ops::Range<usize>)> = Vec::new();
     let mut start = 0usize;
-    while start < keyed_sessions.len() {
-        let key = keyed_sessions[start].0;
+    while start < packed.len() {
+        let key_bits = packed[start] >> 32;
         let mut end = start + 1;
-        while end < keyed_sessions.len() && keyed_sessions[end].0 == key {
+        while end < packed.len() && packed[end] >> 32 == key_bits {
             end += 1;
         }
-        groups.push((key, start..end));
+        groups.push((key_of(indices[start] as usize), start..end));
         start = end;
     }
     (indices, groups)
+}
+
+/// `key` as a 74-bit integer that orders like `SwarmKey`'s derived `Ord`:
+/// the content id, then the ISP + 1 (0 for none, below every ISP), then the
+/// bitrate + 1 (0 for none).
+fn pack_key(key: &SwarmKey) -> u128 {
+    let isp = key.isp.map_or(0, |isp| u128::from(isp.0) + 1);
+    let bitrate = key.bitrate.map_or(0, |b| u128::from(b.bps()) + 1);
+    u128::from(key.content.0) << 42 | isp << 33 | bitrate
 }
 
 /// Window-aligned ceiling: the first window boundary at or after `secs`.
@@ -2695,6 +2825,123 @@ mod tests {
         check_cost_chunks(&costs, 2);
     }
 
+    /// The grouping's packed sort against a plain map from key to the
+    /// start-ordered store indices, under every swarm policy preset. Extreme
+    /// content and ISP ids fill the packed key's fields to the top.
+    #[test]
+    fn grouping_equals_a_btreemap_under_every_policy() {
+        let trace = tiny_trace();
+        let mut records = trace.sessions().to_vec();
+        for (i, (content, isp)) in [(u32::MAX, u8::MAX), (u32::MAX, 0), (0, u8::MAX)]
+            .into_iter()
+            .enumerate()
+        {
+            records.push(SessionRecord {
+                content: ContentId(content),
+                isp: IspId(isp),
+                ..records[i * 7]
+            });
+        }
+        let store =
+            SessionStore::from_records(&records, trace.horizon_seconds(), trace.population().len());
+        for policy in [
+            SwarmPolicy::paper_default(),
+            SwarmPolicy::cross_isp(),
+            SwarmPolicy::mixed_bitrate(),
+            SwarmPolicy::content_only(),
+        ] {
+            let mut expected: BTreeMap<SwarmKey, Vec<u32>> = BTreeMap::new();
+            for i in 0..store.len() {
+                let key = policy.key_parts(
+                    ContentId(store.content()[i]),
+                    store.isp()[i],
+                    store.bitrate_class(i),
+                );
+                expected.entry(key).or_default().push(i as u32);
+            }
+            let config = SimConfig {
+                policy,
+                ..Default::default()
+            };
+            let (indices, groups) = group_by_swarm(&config, &store);
+            let grouped: Vec<(SwarmKey, Vec<u32>)> = groups
+                .into_iter()
+                .map(|(key, range)| (key, indices[range].to_vec()))
+                .collect();
+            assert_eq!(
+                grouped,
+                expected.into_iter().collect::<Vec<_>>(),
+                "{policy:?}"
+            );
+        }
+    }
+
+    /// Checks a run's machine index against a walk over every machine: the
+    /// index lists each machine once under its key, the live list is
+    /// exactly the machines holding active or carried sessions, and the
+    /// touched list matches the flags and holds every machine with
+    /// unspilled days or a quiescent machine's built matcher.
+    fn check_machine_index(run: &SegmentedRun) {
+        assert_eq!(run.index.len(), run.states.len());
+        for (key, &slot) in &run.index {
+            assert_eq!(run.states[slot as usize].key, *key);
+        }
+        let live: Vec<u32> = (0..)
+            .zip(&run.states)
+            .filter(|(_, state)| !state.swarm.is_quiescent())
+            .map(|(slot, _)| slot)
+            .collect();
+        assert_eq!(run.live, live, "live list at {}", run.watermark);
+        let mut listed = vec![false; run.states.len()];
+        for &slot in &run.touched {
+            assert!(!listed[slot as usize], "slot {slot} touched twice");
+            listed[slot as usize] = true;
+        }
+        for (state, listed) in run.states.iter().zip(listed) {
+            assert_eq!(state.touched, listed);
+            let warm =
+                state.swarm.is_quiescent() && matches!(state.swarm.matcher, MatcherSlot::Live(_));
+            assert!(listed || (state.swarm.daily.is_empty() && !warm));
+        }
+    }
+
+    /// Machines that fall quiescent mid-day stay warm until the next push
+    /// that seals a day, which freezes every one of them: after each seal
+    /// of a 15-minute schedule no quiescent machine holds a built matcher.
+    #[test]
+    fn day_seals_freeze_every_quiescent_machine() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        for threads in [1, 2] {
+            let sim = Simulator::new(SimConfig {
+                threads,
+                ..Default::default()
+            });
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            let (mut seals, mut warm) = (0, 0);
+            for (batch, watermark) in batch_schedule(&store, 900) {
+                let spilled = run.spilled_days;
+                run.push_batch(&batch, watermark);
+                check_machine_index(&run);
+                let quiescent_warm = run
+                    .states
+                    .iter()
+                    .filter(|s| {
+                        s.swarm.is_quiescent() && matches!(s.swarm.matcher, MatcherSlot::Live(_))
+                    })
+                    .count();
+                if run.spilled_days > spilled {
+                    seals += 1;
+                    assert_eq!(quiescent_warm, 0, "warm quiescent machines at {watermark}");
+                } else {
+                    warm += quiescent_warm;
+                }
+            }
+            assert_eq!(seals, store.horizon_secs().div_ceil(SECS_PER_DAY));
+            assert!(warm > 0, "no machine stayed warm between seals");
+            assert_eq!(run.finish(), sim.simulate(&store));
+        }
+    }
+
     #[test]
     #[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
     fn push_batch_rejects_sessions_past_the_watermark() {
@@ -3001,7 +3248,8 @@ mod tests {
             /// a random batch boundary the run is checkpointed and resumed
             /// from the snapshot, so the per-user rows the oracle keeps by
             /// itself also pin the snapshot's per-session and per-user
-            /// bytes.
+            /// bytes. The oracle's report does not depend on the thread
+            /// count, so each cooperation rate computes it once.
             #[test]
             fn prop_replayed_runs_match_row_oracle_under_any_batch_schedule(
                 records in long_sessions_strategy(),
@@ -3019,23 +3267,25 @@ mod tests {
                 watermarks.push(LONG_HORIZON);
                 let resume_at = resume_pick % watermarks.len();
                 for cooperation_rate in [1.0, cooperation_pct as f64 / 100.0] {
+                    let config = |threads| SimConfig {
+                        matcher: if matcher_pick == 1 {
+                            MatcherKind::Random
+                        } else {
+                            MatcherKind::Hierarchical
+                        },
+                        window_secs,
+                        cooperation_rate,
+                        participation_rate: participation_pct as f64 / 100.0,
+                        policy: SwarmPolicy {
+                            split_by_isp: split == 1,
+                            split_by_bitrate: split == 1,
+                        },
+                        threads,
+                        ..Default::default()
+                    };
+                    let oracle = Simulator::new(config(1)).run_store_rows(&store);
                     for threads in [1, 2] {
-                        let sim = Simulator::new(SimConfig {
-                            matcher: if matcher_pick == 1 {
-                                MatcherKind::Random
-                            } else {
-                                MatcherKind::Hierarchical
-                            },
-                            window_secs,
-                            cooperation_rate,
-                            participation_rate: participation_pct as f64 / 100.0,
-                            policy: SwarmPolicy {
-                                split_by_isp: split == 1,
-                                split_by_bitrate: split == 1,
-                            },
-                            threads,
-                            ..Default::default()
-                        });
+                        let sim = Simulator::new(config(threads));
                         let mut run = sim.begin(LONG_HORIZON, 12);
                         let mut from = 0;
                         for (i, &watermark) in watermarks.iter().enumerate() {
@@ -3055,7 +3305,7 @@ mod tests {
                             );
                             from = watermark;
                         }
-                        prop_assert_eq!(run.finish(), sim.run_store_rows(&store));
+                        prop_assert_eq!(&run.finish(), &oracle);
                     }
                 }
             }

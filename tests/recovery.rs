@@ -142,6 +142,43 @@ fn sparse_checkpoint_cadences_still_recover_exactly() {
     }
 }
 
+/// A snapshot is a function of the sessions, the watermark and the
+/// configuration alone: the short month checkpointed at its mid-month
+/// watermark is one byte string whether the run got there in one push or in
+/// daily, hourly or 15-minute batches. The thread count is part of the
+/// configuration a snapshot carries, so each count has its own string,
+/// pinned here by its FNV digest.
+#[test]
+fn snapshot_bytes_do_not_depend_on_the_batch_schedule() {
+    const WATERMARK: u64 = 15 * DAY;
+    const PINNED: [u64; 3] = [
+        0x0cd5_5d1f_cb42_7df0,
+        0x3487_fc10_379b_4453,
+        0x52c7_675e_b601_2d4b,
+    ];
+    let store = short_store(0.0003, 23, 30);
+    for (&threads, pinned) in THREAD_COUNTS.iter().zip(PINNED) {
+        let sim = simulator(threads);
+        for tick in [WATERMARK, DAY, 3_600, 900] {
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            for (batch, watermark) in batch_schedule(&store, tick) {
+                if watermark > WATERMARK {
+                    break;
+                }
+                run.push_batch(&batch, watermark);
+            }
+            assert_eq!(run.watermark(), WATERMARK);
+            let mut snapshot = Vec::new();
+            run.checkpoint(&mut snapshot).unwrap();
+            assert_eq!(
+                checkpoint::fnv1a(&snapshot),
+                pinned,
+                "{threads} threads, {tick} s batches"
+            );
+        }
+    }
+}
+
 /// Builds a run mid-flight and snapshots it to `path`, returning its
 /// watermark.
 fn write_mid_run_snapshot(sim: &Simulator, store: &SessionStore, path: &Path) -> u64 {
