@@ -123,9 +123,7 @@ impl Simulator {
     /// # }
     /// ```
     pub fn simulate(&self, source: impl SessionSource) -> SimReport {
-        let mut run = self.begin(source.horizon_secs(), source.population_len());
-        source.for_each_batch(&mut |batch, watermark| run.push_batch(batch, watermark));
-        run.finish()
+        self.simulate_days(source, |_| {})
     }
 
     /// Like [`Simulator::simulate`], additionally invoking `on_day_close`
@@ -171,28 +169,16 @@ impl Simulator {
         let mut run = self.begin(source.horizon_secs(), source.population_len());
         let mut failure: Option<CheckpointError> = None;
         source.for_each_batch(&mut |batch, watermark| {
-            if failure.is_some() {
-                return;
-            }
-            run.push_batch(batch, watermark);
-            let before = run.closed_days;
-            run.drain_closed_days(&mut on_day_close);
-            let closed = run.closed_days - before;
-            let mut note = || -> Result<(), CheckpointError> {
-                checkpointer.note_watermark(&run)?;
-                for _ in 0..closed {
-                    checkpointer.note_day_close(&run)?;
-                }
-                Ok(())
-            };
-            if let Err(e) = note() {
-                failure = Some(e);
+            if failure.is_none() {
+                failure = run
+                    .push_checkpointed(batch, watermark, checkpointer, &mut on_day_close)
+                    .err();
             }
         });
-        if let Some(e) = failure {
-            return Err(e);
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(run.finish_days(on_day_close)),
         }
-        Ok(run.finish_days(on_day_close))
     }
 
     /// Begins an incremental run: push watermarked session batches with
@@ -219,33 +205,28 @@ impl Simulator {
         }
     }
 
-    /// Merges key-ordered per-swarm outputs and the run's per-user totals
-    /// into the final report — the common tail of every path
-    /// ([`SegmentedRun::finish`], and through it [`Simulator::simulate`]).
-    /// Day × ISP cells are collected flat and merged with one sort (no hash
-    /// map rebuild).
+    /// Merges key-ordered per-swarm outputs, the run's per-user totals and
+    /// its grouped day × ISP cells into the final report — the common tail
+    /// of [`SegmentedRun::finish_days`] (and through it every entry point)
+    /// and of the test-only row oracle. Both spill every day before they
+    /// get here, so each swarm's days are its frozen days and the report's
+    /// day × ISP cells are `cells` as they stand.
     fn merge_outputs(
         &self,
         horizon: u64,
         users: Vec<UserTraffic>,
         parts: Vec<(SwarmKey, u64, SwarmOutput)>,
-        spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
+        cells: Vec<DayCell>,
         warnings: Vec<SimWarning>,
     ) -> SimReport {
         let total_windows = horizon / self.config.window_secs;
         let mut swarms = Vec::with_capacity(parts.len());
-        let mut daily_cells: Vec<(u32, Option<IspId>, ByteLedger)> = Vec::new();
         let mut total = ByteLedger::new();
         let mut degradation = Degradation::default();
-        for (key, sessions, out) in &parts {
+        for (key, sessions, out) in parts {
             total.merge(&out.ledger);
             degradation.merge(&out.degradation);
-            for (day, ledger) in &out.daily {
-                daily_cells.push((*day, key.isp, *ledger));
-            }
-            // Spilled days precede every live day, so the frozen points
-            // chain in front in day order.
-            let daily_points = out
+            let daily = out
                 .frozen
                 .iter()
                 .map(|f| crate::report::SwarmDay {
@@ -253,40 +234,21 @@ impl Simulator {
                     capacity: f.capacity(),
                     demand_bytes: f.demand_bytes,
                 })
-                .chain(
-                    out.daily
-                        .iter()
-                        .map(|(day, ledger)| crate::report::SwarmDay {
-                            day: *day,
-                            capacity: effective_capacity(ledger),
-                            demand_bytes: ledger.demand_bytes,
-                        }),
-                )
                 .collect();
             swarms.push(SwarmReport {
-                key: *key,
+                key,
                 ledger: out.ledger,
-                sessions: *sessions,
+                sessions,
                 capacity: effective_capacity(&out.ledger),
                 time_avg_capacity: out.ledger.measured_capacity(total_windows),
                 upload_ratio: out.upload_ratio,
-                daily: daily_points,
+                daily,
             });
         }
-        daily_cells.sort_by_key(|&(day, isp, _)| (day, isp));
-        // The spilled prefix is already grouped and covers strictly earlier
-        // days than any live cell; appending the live groups reproduces the
-        // unspilled sort-and-merge byte for byte.
-        let mut daily: Vec<DailyIspCell> = spilled_cells
+        let daily = cells
             .into_iter()
             .map(|(day, isp, ledger)| DailyIspCell { day, isp, ledger })
             .collect();
-        for (day, isp, ledger) in daily_cells {
-            match daily.last_mut() {
-                Some(cell) if cell.day == day && cell.isp == isp => cell.ledger.merge(&ledger),
-                _ => daily.push(DailyIspCell { day, isp, ledger }),
-            }
-        }
 
         SimReport {
             horizon_secs: horizon,
@@ -341,6 +303,46 @@ fn sealed_days(watermark: u64, horizon_secs: u64) -> u64 {
         total_days
     } else {
         (watermark / spd).min(total_days)
+    }
+}
+
+/// One day × ISP cell of the report's daily list, `(day, isp, ledger)`.
+type DayCell = (u32, Option<IspId>, ByteLedger);
+
+/// Spills the entries of a swarm's day-sorted `daily` list that lie before
+/// day `sealed`: each becomes a compact [`FrozenDay`] in `frozen` and the
+/// swarm's share of its day × ISP cell in `cells`.
+fn spill_days(
+    daily: &mut Vec<(u32, ByteLedger)>,
+    sealed: u64,
+    isp: Option<IspId>,
+    frozen: &mut Vec<FrozenDay>,
+    cells: &mut Vec<DayCell>,
+) {
+    let cut = daily.partition_point(|&(d, _)| u64::from(d) < sealed);
+    for (day, ledger) in daily.drain(..cut) {
+        frozen.push(FrozenDay {
+            day,
+            demand_bytes: ledger.demand_bytes,
+            active_windows: ledger.active_windows,
+            peer_windows: ledger.peer_windows,
+        });
+        cells.push((day, isp, ledger));
+    }
+}
+
+/// Folds one round of spilled per-swarm cells into the grouped,
+/// `(day, isp)`-sorted cells: one sort, then a merge of equal neighbours.
+/// Every cell of a round lies on a later day than any grouped one (days
+/// spill in order), so the grouped list stays sorted, and its ledgers are
+/// commutative `u64` sums, so any round cut gives the same bytes.
+fn fold_cells(grouped: &mut Vec<DayCell>, mut round: Vec<DayCell>) {
+    round.sort_by_key(|&(day, isp, _)| (day, isp));
+    for (day, isp, ledger) in round {
+        match grouped.last_mut() {
+            Some(c) if c.0 == day && c.1 == isp => c.2.merge(&ledger),
+            _ => grouped.push((day, isp, ledger)),
+        }
     }
 }
 
@@ -596,21 +598,21 @@ struct SwarmSim {
 }
 
 impl SwarmSim {
-    /// Creates the state machine from the swarm's first (earliest) session:
-    /// the first window boundary and the representative upload ratio for
-    /// the report (uniform within bitrate-split swarms; a demand-weighted
-    /// mix otherwise).
-    fn new(sim: &Simulator, key: SwarmKey, first_start_secs: u64, first_bitrate_bps: u32) -> Self {
-        let matcher_seed = swarm_seed(sim.config.seed, &key);
+    /// Creates an empty machine for swarm `key` with a fresh matcher, its
+    /// next window boundary at `t` and the report's upload ratio: the one
+    /// place the key-derived seeds, the edge-cache bit and the scratch
+    /// buffers are set, for a new swarm and for a restored one alike.
+    fn new(sim: &Simulator, key: &SwarmKey, t: u64, upload_ratio: f64) -> Self {
+        let matcher_seed = swarm_seed(sim.config.seed, key);
         Self {
             matcher: MatcherSlot::Live(sim.config.matcher.build(matcher_seed)),
             matcher_seed,
             active: ActiveSet::default(),
-            t: SimTime(align_up(first_start_secs, sim.config.window_secs)),
+            t: SimTime(t),
             carry: VecDeque::new(),
             ledger: ByteLedger::new(),
             daily: Vec::new(),
-            upload_ratio: sim.config.upload.ratio_for(first_bitrate_bps).min(1.0),
+            upload_ratio,
             cached: sim
                 .config
                 .edge_cache
@@ -620,8 +622,8 @@ impl SwarmSim {
             swarm_demand: 0,
             ineligible: 0,
             outcome: MatchOutcome::default(),
-            defect_seed: swarm_seed(sim.config.seed ^ DEFECT_STREAM_TAG, &key),
-            recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, &key),
+            defect_seed: swarm_seed(sim.config.seed ^ DEFECT_STREAM_TAG, key),
+            recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, key),
             needs_flaked: Vec::new(),
             cycle_ledgers: Vec::new(),
             degradation: Degradation::default(),
@@ -998,17 +1000,17 @@ impl SwarmSim {
         }
     }
 
-    /// Extracts the swarm's output, leaving the machine empty: the sessions
-    /// still active (those running past the horizon) append their bytes to
-    /// `retired`. Taking `&mut self` (instead of `self`) lets
-    /// [`SegmentedRun::finish_days`] drain and extract in one parallel pass
-    /// over its state chunks.
-    fn take_output(&mut self, retired: &mut Vec<UserBytes>) -> SwarmOutput {
+    /// Extracts the output of a machine the run's final push has advanced
+    /// to the horizon and spilled, with its `frozen` days: the sessions
+    /// still active (those running past the horizon) append their bytes
+    /// to `retired`. Taking `&mut self` lets [`SegmentedRun::finish_days`]
+    /// walk its machines in key order through the slot index.
+    fn take_output(&mut self, frozen: Vec<FrozenDay>, retired: &mut Vec<UserBytes>) -> SwarmOutput {
+        debug_assert!(self.daily.is_empty(), "the final push spills every day");
         self.active.retire_ended(u64::MAX, retired);
         SwarmOutput {
             ledger: std::mem::take(&mut self.ledger),
-            frozen: Vec::new(),
-            daily: std::mem::take(&mut self.daily),
+            frozen,
             upload_ratio: self.upload_ratio,
             degradation: std::mem::take(&mut self.degradation),
         }
@@ -1021,9 +1023,8 @@ impl SwarmSim {
     }
 
     /// What [`cost_chunks`] charges for advancing the machine over a batch
-    /// that brings it `new_sessions` sessions (none for the final drain and
-    /// [`SwarmSim::take_output`]): one for the visit plus every session it
-    /// admits, holds active or carries.
+    /// that brings it `new_sessions` sessions: one for the visit plus every
+    /// session it admits, holds active or carries.
     fn cost(&self, new_sessions: usize) -> u64 {
         (1 + new_sessions + self.active.len() + self.carry.len()) as u64
     }
@@ -1080,12 +1081,12 @@ const CHUNKS_PER_WORKER: u64 = 8;
 /// The swarm key leads with [`ContentId`], which is the popularity rank.
 /// A push's work list is in slot order, and a batch creates its new
 /// machines in key order, so the head swarms — created by the first
-/// batches — sit near the front, as they do in the key-ordered final
-/// drain: chunks of equal *count* would hand the first one most of the
-/// work. Here a chunk closes as soon as its cost reaches the target
-/// `total / (workers × 8)`, rounded up. A head swarm at or above the
-/// target therefore gets a chunk of its own, and [`parallel_map_slices`]
-/// steals chunks in index order, so the head swarms start first.
+/// batches — sit near the front: chunks of equal *count* would hand the
+/// first one most of the work. Here a chunk closes as soon as its cost
+/// reaches the target `total / (workers × 8)`, rounded up. A head swarm at
+/// or above the target therefore gets a chunk of its own, and
+/// [`parallel_map_slices`] steals chunks in index order, so the head
+/// swarms start first.
 ///
 /// The offsets are ascending and cover `0..costs.len()` in at most
 /// `workers × 8` chunks, each costing at most the target plus its heaviest
@@ -1230,6 +1231,11 @@ impl std::fmt::Debug for SwarmSim {
 /// freezes it, so a session arriving later the same day does not rebuild
 /// it; at most the machines touched since the last seal stay warm.
 ///
+/// A run ends through the same step: [`SegmentedRun::finish_days`] is one
+/// more push, of an empty batch at the last possible watermark, which runs
+/// the live machines to the horizon and seals every remaining day like
+/// any day-sealing push. The report is then read off the spilled days.
+///
 /// Peak memory is the batch being fed plus the engine's own state
 /// (active/carried sessions, accumulators and the growing report) — the
 /// trace itself is never resident as a whole, which is what makes the
@@ -1266,7 +1272,7 @@ pub struct SegmentedRun {
     /// The spilled days' accumulated day × ISP cells, `(day, isp)`-sorted
     /// and grouped — byte-identical to the prefix of the final report's
     /// `daily` list covering those days.
-    spilled_cells: Vec<(u32, Option<IspId>, ByteLedger)>,
+    spilled_cells: Vec<DayCell>,
     /// Element-wise sort-key maxima folded across every pushed batch (see
     /// [`SessionStore::sort_key_maxima`]).
     max_start_secs: u64,
@@ -1354,18 +1360,21 @@ impl SegmentedRun {
                 }
                 Entry::Vacant(e) => {
                     let slot = u32::try_from(self.states.len()).expect("fewer than 2^32 swarms");
+                    // The first window boundary and the report's upload
+                    // ratio come from the swarm's earliest session (the
+                    // ratio is uniform within bitrate-split swarms; a
+                    // demand-weighted mix otherwise).
                     let first = indices[range.start] as usize;
+                    let config = &self.sim.config;
+                    let t = align_up(batch.start_secs()[first], config.window_secs);
+                    let bitrate_bps = batch.device()[first].bitrate_bps();
+                    let upload_ratio = config.upload.ratio_for(bitrate_bps).min(1.0);
                     self.states.push(SwarmState {
                         key: *key,
                         sessions: range.len() as u64,
                         frozen: Vec::new(),
                         touched: false,
-                        swarm: SwarmSim::new(
-                            &self.sim,
-                            *key,
-                            batch.start_secs()[first],
-                            batch.device()[first].bitrate_bps(),
-                        ),
+                        swarm: SwarmSim::new(&self.sim, key, t, upload_ratio),
                     });
                     *e.insert(slot)
                 }
@@ -1433,8 +1442,7 @@ impl SegmentedRun {
     /// day):
     ///
     /// - **Spill.** Each sealed `(day, ledger)` entry is folded into the
-    ///   run-level day × ISP cells (commutative `u64` sums, so any fold
-    ///   order equals the final report's sort-and-merge bytes) and
+    ///   run-level day × ISP cells ([`spill_days`], [`fold_cells`]) and
     ///   replaced by a compact [`FrozenDay`]. A day is sealed once the
     ///   watermark passes its end — machines with pending work always
     ///   advance to the watermark and later sessions start at or after
@@ -1448,39 +1456,19 @@ impl SegmentedRun {
     /// if it is live, its next advance lists it again.
     fn seal_days(&mut self) {
         let sealed = sealed_days(self.watermark, self.horizon_secs);
-        // Per swarm-day cells of this round, then grouped exactly as
-        // `merge_outputs` groups the live ones. Days only ever grow, so
-        // grouped rounds concatenate sorted.
-        let mut cells: Vec<(u32, Option<IspId>, ByteLedger)> = Vec::new();
+        let mut cells = Vec::new();
         let states = &mut self.states;
         self.touched.retain(|&slot| {
             let state = &mut states[slot as usize];
-            let cut = state
-                .swarm
-                .daily
-                .partition_point(|&(d, _)| u64::from(d) < sealed);
-            for (day, ledger) in state.swarm.daily.drain(..cut) {
-                state.frozen.push(FrozenDay {
-                    day,
-                    demand_bytes: ledger.demand_bytes,
-                    active_windows: ledger.active_windows,
-                    peer_windows: ledger.peer_windows,
-                });
-                cells.push((day, state.key.isp, ledger));
-            }
+            let daily = &mut state.swarm.daily;
+            spill_days(daily, sealed, state.key.isp, &mut state.frozen, &mut cells);
             if state.swarm.is_quiescent() {
                 state.swarm.freeze();
             }
             state.touched = !state.swarm.daily.is_empty();
             state.touched
         });
-        cells.sort_by_key(|&(day, isp, _)| (day, isp));
-        for (day, isp, ledger) in cells {
-            match self.spilled_cells.last_mut() {
-                Some(c) if c.0 == day && c.1 == isp => c.2.merge(&ledger),
-                _ => self.spilled_cells.push((day, isp, ledger)),
-            }
-        }
+        fold_cells(&mut self.spilled_cells, cells);
         self.spilled_days = sealed;
     }
 
@@ -1511,101 +1499,76 @@ impl SegmentedRun {
         }
     }
 
-    /// Completes the run: drains any machine still holding active or
-    /// carried sessions (a no-op when the pushed batches covered the whole
-    /// horizon) and merges the per-swarm outputs into the final report,
-    /// byte-identical to [`Simulator::simulate`] on a monolithic store of
-    /// the same sessions.
+    /// One checkpointed serving step, shared by
+    /// [`Simulator::simulate_days_checkpointed`] and the crash harness's
+    /// doomed consumer ([`crate::online::faults::crash_and_recover`]):
+    /// push the batch, emit the days it closed, then note the watermark
+    /// advance and each closed day with `checkpointer`, which writes a
+    /// snapshot whenever one falls due.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first snapshot-write failure; the batch is pushed by
+    /// then, so the run stops at this batch boundary.
+    pub(crate) fn push_checkpointed(
+        &mut self,
+        batch: &SessionStore,
+        watermark: u64,
+        checkpointer: &mut Checkpointer,
+        on_day_close: impl FnMut(DayClose),
+    ) -> Result<(), CheckpointError> {
+        self.push_batch(batch, watermark);
+        let before = self.closed_days;
+        self.drain_closed_days(on_day_close);
+        checkpointer.note_watermark(self)?;
+        for _ in before..self.closed_days {
+            checkpointer.note_day_close(self)?;
+        }
+        Ok(())
+    }
+
+    /// Completes the run and returns the final report, byte-identical to
+    /// [`Simulator::simulate`] on a monolithic store of the same sessions
+    /// (see [`SegmentedRun::finish_days`]).
     pub fn finish(self) -> SimReport {
         self.finish_days(|_| {})
     }
 
-    /// Like [`SegmentedRun::finish`], additionally emitting a [`DayClose`]
-    /// for every horizon day not yet drained — after the final drain, so
-    /// the emitted ledgers account sessions running past the last
-    /// watermark.
-    pub fn finish_days(self, mut on_day_close: impl FnMut(DayClose)) -> SimReport {
-        let SegmentedRun {
-            sim,
-            horizon_secs,
-            mut states,
-            index,
-            mut users,
-            closed_days,
-            spilled_cells,
-            max_start_secs,
-            max_user,
-            max_content,
-            ..
-        } = self;
-        // Every machine, in key order: the order of the report's swarms.
-        let mut slots: Vec<Option<&mut SwarmState>> = states.iter_mut().map(Some).collect();
-        let mut machines: Vec<&mut SwarmState> = index
+    /// Completes the run, emitting a [`DayClose`] for every horizon day not
+    /// yet drained, and returns the final report.
+    ///
+    /// The end of a run is one more push: an empty batch at watermark
+    /// `u64::MAX` runs every live machine to the horizon and spills every
+    /// day not yet spilled (nothing is left to run or spill when the pushed
+    /// batches already reached the horizon). The remaining days then close
+    /// like any sealed day, so their ledgers account the sessions running
+    /// past the last watermark, and the report is read off the spilled
+    /// days, walking the machines in key order.
+    pub fn finish_days(mut self, on_day_close: impl FnMut(DayClose)) -> SimReport {
+        let horizon_secs = self.horizon_secs;
+        self.push_batch(&SessionStore::from_records(&[], horizon_secs, 0), u64::MAX);
+        self.drain_closed_days(on_day_close);
+        // The sessions still active at the horizon hand their bytes out as
+        // their machine's output is taken.
+        let mut retired = Vec::new();
+        let parts = self
+            .index
             .values()
-            .map(|&slot| slots[slot as usize].take().expect("one key per slot"))
+            .map(|&slot| {
+                let state = &mut self.states[slot as usize];
+                let frozen = std::mem::take(&mut state.frozen);
+                let out = state.swarm.take_output(frozen, &mut retired);
+                (state.key, state.sessions, out)
+            })
             .collect();
-        // Drain and extract in one parallel pass: `take_output` leaves each
-        // machine empty and hands out the bytes of the sessions still
-        // active at the horizon, which fold in with the drain's retirees.
-        let drain = SessionStore::from_records(&[], horizon_secs, 0);
-        let costs: Vec<u64> = machines.iter().map(|s| s.swarm.cost(0)).collect();
-        let offsets = cost_chunks(&costs, sim.config.threads);
-        let chunked =
-            parallel_map_slices(&mut machines, &offsets, sim.config.threads, |_, chunk| {
-                let mut parts = Vec::with_capacity(chunk.len());
-                let mut retired = Vec::new();
-                for state in chunk {
-                    let swarm = &mut state.swarm;
-                    if !swarm.is_quiescent() {
-                        swarm.advance(&sim, &drain, &[], u64::MAX, horizon_secs, &mut retired);
-                    }
-                    let mut out = swarm.take_output(&mut retired);
-                    out.frozen = std::mem::take(&mut state.frozen);
-                    parts.push((state.key, state.sessions, out));
-                }
-                (parts, retired)
-            });
-        let (parts, retired): (Vec<_>, Vec<_>) = chunked.into_iter().unzip();
-        add_user_bytes(&mut users, retired.iter().flatten());
-        let parts: Vec<(SwarmKey, u64, SwarmOutput)> = parts.into_iter().flatten().collect();
-
-        // Close the days the watermark never sealed, from the final
-        // (drained) per-swarm ledgers — chunk order is key order, so the
-        // scan below sees each swarm's day-sorted list exactly once. Days
-        // already spilled (but never drained) close from their grouped
-        // cells; live `daily` lists hold only the days past the spill
-        // boundary, so the two sources never overlap.
-        let spd = consume_local_trace::time::SECS_PER_DAY;
-        let total_days = horizon_secs.div_ceil(spd);
-        if closed_days < total_days {
-            let base = closed_days as usize;
-            let mut ledgers = vec![ByteLedger::new(); (total_days - closed_days) as usize];
-            let from = spilled_cells.partition_point(|&(d, _, _)| u64::from(d) < closed_days);
-            for (day, _, cell) in &spilled_cells[from..] {
-                ledgers[*day as usize - base].merge(cell);
-            }
-            for (_, _, out) in &parts {
-                let from = out
-                    .daily
-                    .partition_point(|&(d, _)| u64::from(d) < closed_days);
-                for (day, ledger) in &out.daily[from..] {
-                    ledgers[*day as usize - base].merge(ledger);
-                }
-            }
-            for (k, ledger) in ledgers.into_iter().enumerate() {
-                on_day_close(DayClose {
-                    day: (base + k) as u32,
-                    ledger,
-                });
-            }
-        }
-
-        sim.merge_outputs(
+        add_user_bytes(&mut self.users, &retired);
+        let warnings = sort_key_warnings((self.max_start_secs, self.max_user, self.max_content));
+        self.sim.merge_outputs(
             horizon_secs,
-            users,
+            self.users,
             parts,
-            spilled_cells,
-            sort_key_warnings((max_start_secs, max_user, max_content)),
+            self.spilled_cells,
+            warnings,
         )
     }
 
@@ -2166,40 +2129,21 @@ fn take_swarm(
         });
     }
 
-    let matcher_seed = swarm_seed(sim.config.seed, key);
+    let mut swarm = SwarmSim::new(sim, key, t, upload_ratio);
+    swarm.active = active;
+    swarm.carry = carry;
+    swarm.ledger = ledger;
+    swarm.daily = daily;
+    swarm.degradation = degradation;
     // A quiescent machine comes back dormant, exactly as `freeze` left it
-    // in the donor; `thaw` builds the same matcher when a session arrives.
-    let matcher = if active.is_empty() && carry.is_empty() {
-        MatcherSlot::Dormant { word }
+    // in the donor, without replaying the random matcher's stream to the
+    // word; `thaw` does that when a session arrives.
+    if swarm.is_quiescent() {
+        swarm.matcher = MatcherSlot::Dormant { word };
     } else {
-        let mut matcher = sim.config.matcher.build(matcher_seed);
-        matcher.restore_word(word);
-        MatcherSlot::Live(matcher)
-    };
-    Ok(SwarmSim {
-        matcher,
-        matcher_seed,
-        active,
-        t: SimTime(t),
-        carry,
-        ledger,
-        daily,
-        upload_ratio,
-        cached: sim
-            .config
-            .edge_cache
-            .is_some_and(|c| key.content.0 < c.top_items),
-        sums_stale: true,
-        preload_total: 0,
-        swarm_demand: 0,
-        ineligible: 0,
-        outcome: MatchOutcome::default(),
-        defect_seed: swarm_seed(sim.config.seed ^ DEFECT_STREAM_TAG, key),
-        recv_defect_seed: swarm_seed(sim.config.seed ^ RECV_DEFECT_STREAM_TAG, key),
-        needs_flaked: Vec::new(),
-        cycle_ledgers: Vec::new(),
-        degradation,
-    })
+        swarm.matcher.live_mut().restore_word(word);
+    }
+    Ok(swarm)
 }
 
 /// Adds sessions' [`UserBytes`] to the run's per-user totals. Every total
@@ -2359,13 +2303,13 @@ fn swarm_seed(base: u64, key: &SwarmKey) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One swarm's share of the final report, taken once every day is spilled:
+/// its whole-run ledger, its days as [`FrozenDay`]s in day order (their
+/// day × ISP cells are the run's), its upload ratio and its fault losses.
 #[derive(Debug, Default)]
 struct SwarmOutput {
     ledger: ByteLedger,
-    /// Days spilled while the run was in flight, preceding every `daily`
-    /// entry (empty on the test-only row-oracle path).
     frozen: Vec<FrozenDay>,
-    daily: Vec<(u32, ByteLedger)>,
     upload_ratio: f64,
     degradation: Degradation,
 }
@@ -2398,9 +2342,9 @@ struct ActiveSession {
 
 #[cfg(test)]
 impl Simulator {
-    /// The reference row-based engine: production's grouping and
-    /// key-ordered merge around a per-swarm window loop that materialises
-    /// [`ActiveSession`] rows instead of driving the columnar
+    /// The reference row-based engine: production's grouping, day spill
+    /// and key-ordered merge around a per-swarm window loop that
+    /// materialises [`ActiveSession`] rows instead of driving the columnar
     /// [`ActiveSet`], over the whole store in one pass. Kept only as the
     /// oracle the SoA fast path is property-tested against.
     fn run_store_rows(&self, store: &SessionStore) -> SimReport {
@@ -2411,19 +2355,23 @@ impl Simulator {
             self.simulate_swarm_rows(*key, &indices[range.clone()], store)
         });
         let mut users = vec![UserTraffic::default(); store.population_len()];
+        let mut cells = Vec::new();
         let parts: Vec<(SwarmKey, u64, SwarmOutput)> = outputs
             .into_iter()
             .zip(&keyed)
-            .map(|((out, rows), (key, range))| {
+            .map(|((out, swarm_cells, rows), (key, range))| {
                 add_user_bytes(&mut users, &rows);
+                cells.extend(swarm_cells);
                 (*key, range.len() as u64, out)
             })
             .collect();
+        let mut grouped = Vec::new();
+        fold_cells(&mut grouped, cells);
         self.merge_outputs(
             store.horizon_secs(),
             users,
             parts,
-            Vec::new(),
+            grouped,
             sort_key_warnings(store.sort_key_maxima()),
         )
     }
@@ -2431,13 +2379,14 @@ impl Simulator {
     /// The pre-SoA row-based window loop, kept verbatim as the oracle for
     /// property tests: materialises [`ActiveSession`] rows, rebuilds the
     /// matcher's peer/need/budget inputs every window and keeps its own
-    /// per-user accumulators over the swarm's sorted distinct users.
+    /// per-user accumulators over the swarm's sorted distinct users. Its
+    /// days spill at the end, so it returns its day × ISP cells too.
     fn simulate_swarm_rows(
         &self,
         key: SwarmKey,
         indices: &[u32],
         store: &SessionStore,
-    ) -> (SwarmOutput, Vec<UserBytes>) {
+    ) -> (SwarmOutput, Vec<DayCell>, Vec<UserBytes>) {
         let dt = self.config.window_secs;
         let starts_col = store.start_secs();
         let durations_col = store.duration_secs();
@@ -2451,6 +2400,7 @@ impl Simulator {
             .build(swarm_seed(self.config.seed, &key));
 
         let mut out = SwarmOutput::default();
+        let mut daily: Vec<(u32, ByteLedger)> = Vec::new();
         let mut swarm_users: Vec<u32> = indices.iter().map(|&i| users_col[i as usize]).collect();
         swarm_users.sort_unstable();
         swarm_users.dedup();
@@ -2606,22 +2556,24 @@ impl Simulator {
 
             out.ledger.merge(&window_ledger);
             let day = (t.as_secs() / consume_local_trace::time::SECS_PER_DAY) as u32;
-            match out.daily.last_mut() {
+            match daily.last_mut() {
                 Some((d, ledger)) if *d == day => ledger.merge(&window_ledger),
                 _ => {
-                    out.daily.push((day, std::mem::take(&mut window_ledger)));
+                    daily.push((day, std::mem::take(&mut window_ledger)));
                 }
             }
 
             t = t + dt;
         }
 
+        let mut cells = Vec::new();
+        spill_days(&mut daily, u64::MAX, key.isp, &mut out.frozen, &mut cells);
         let users = swarm_users
             .into_iter()
             .zip(user_acc)
             .map(|(u, (w, up))| (u, w, up))
             .collect();
-        (out, users)
+        (out, cells, users)
     }
 }
 

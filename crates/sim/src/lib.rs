@@ -26,8 +26,9 @@
 //!   [`SegmentedRun`]);
 //! * [`online`] — the live ingest front-end: a bounded backpressured
 //!   channel of arriving sessions, watermark-driven day closes, the
-//!   N×-real-time [`replay`](online::replay) driver, and the
-//!   [`online::faults`] deterministic crash-recovery harness;
+//!   [`replay`](online::replay) driver that feeds an existing store
+//!   through the channel, and the [`online::faults`] deterministic
+//!   crash-recovery harness;
 //! * [`shard`] — swarm-sharded runs: disjoint shards (e.g. the metro
 //!   presets' per-city streams) simulated one at a time and folded through
 //!   the commutative [`merge_shard_reports`], byte-identical to the
@@ -74,7 +75,7 @@ pub use checkpoint::{CheckpointCadence, CheckpointError, CheckpointPolicy, Check
 pub use config::{EdgeCache, SimConfig, SimConfigError, UploadModel};
 pub use engine::{DayClose, SegmentedRun, Simulator};
 pub use ledger::ByteLedger;
-pub use online::{OnlineError, OnlineSender, OnlineSource, ReplayConfig, ReplaySpeed, ReplayStats};
+pub use online::{OnlineError, OnlineSender, OnlineSource, ReplayConfig, ReplayStats};
 pub use report::{
     DailyIspCell, Degradation, SimReport, SimWarning, SwarmDay, SwarmReport, UserTraffic,
 };

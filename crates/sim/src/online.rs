@@ -26,14 +26,14 @@
 //!   resumable per-swarm machines through the same [`SessionSource`]
 //!   contract, a replayed trace produces a [`SimReport`]
 //!   equal to the batch run of the same sessions — at any worker count,
-//!   any channel capacity and any replay speed (pinned by
+//!   any channel capacity and any watermark cadence (pinned by
 //!   `tests/online.rs`).
 //!
 //! [`replay`] drives the whole arrangement from an existing trace: a
-//! producer thread feeds a [`SessionStore`]'s records at
-//! [`ReplaySpeed::Times`] real time (or [`ReplaySpeed::MaxThroughput`] for
-//! as-fast-as-possible ingest, the events/sec benchmark mode), watermarking
-//! once per simulated tick, while the calling thread simulates.
+//! producer thread feeds a [`SessionStore`]'s records as fast as the
+//! channel's backpressure allows, watermarking once per simulated tick,
+//! while the calling thread simulates. A producer that must keep to a
+//! wall-clock rate paces its own [`OnlineSender`].
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@
 //! let store = SessionStore::from_trace(&trace);
 //! let sim = Simulator::new(SimConfig::default());
 //!
-//! // Max-throughput replay: identical report, plus stream statistics.
+//! // Replay: identical report, plus stream statistics.
 //! let (report, stats) = online::replay(&sim, &store, &online::ReplayConfig::default());
 //! assert_eq!(report, sim.simulate(&store));
 //! assert_eq!(stats.events, store.len() as u64);
@@ -335,38 +335,25 @@ impl SessionSource for OnlineSource {
     }
 }
 
-/// How fast [`replay`] feeds a trace relative to simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplaySpeed {
-    /// `Times(n)`: one simulated tick every `tick_secs / n` wall seconds —
-    /// `Times(1.0)` is real time. Must be finite and positive.
-    Times(f64),
-    /// No pacing at all: the producer runs flat out and only backpressure
-    /// throttles it. This is the sustained events/sec benchmark mode.
-    MaxThroughput,
-}
-
 /// Configuration for [`replay`] / [`resume_replay`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
-    /// Replay speed (default: [`ReplaySpeed::MaxThroughput`]).
-    pub speed: ReplaySpeed,
     /// Simulated seconds per watermark tick (default: 3600, one hour).
     /// Smaller ticks mean fresher day-closes and smaller batches.
     pub tick_secs: u64,
     /// Channel capacity in envelopes (default: 1024).
     pub capacity: usize,
-    /// Resume point in simulated seconds (default: 0, a fresh run). Only
-    /// [`resume_replay`] honours it: events starting before it are already
-    /// inside the restored run's checkpoint and are not re-fed; set it to
-    /// the snapshot's [`SegmentedRun::watermark`]. [`replay`] requires 0.
+    /// Resume point in simulated seconds (default: 0, a fresh run): the
+    /// watermark of the run the replay continues. Events starting before
+    /// it are already inside the restored run's checkpoint and are not
+    /// re-fed; set it to the snapshot's [`SegmentedRun::watermark`] for
+    /// [`resume_replay`]. [`replay`] starts a fresh run, so it requires 0.
     pub resume_from: u64,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
         Self {
-            speed: ReplaySpeed::MaxThroughput,
             tick_secs: 3_600,
             capacity: 1_024,
             resume_from: 0,
@@ -386,72 +373,42 @@ pub struct ReplayStats {
     pub days_closed: u64,
 }
 
-/// Replays a store through an online [`channel`] at `config.speed`,
-/// simulating as events arrive. Returns the report — byte-identical to
-/// `sim.simulate(&store)` — and the stream statistics. A session the
-/// sender rejects (one starting at or past the horizon, or one whose user
-/// is outside the population) is left out and the replay carries on, so
-/// the report is then that of the accepted sessions.
+/// Replays a store through an online [`channel`] as fast as backpressure
+/// allows, simulating as events arrive. Returns the report —
+/// byte-identical to `sim.simulate(&store)` — and the stream statistics.
+/// A session the sender rejects (one starting at or past the horizon, or
+/// one whose user is outside the population) is left out and the replay
+/// carries on, so the report is then that of the accepted sessions.
 ///
 /// The producer runs on a scoped thread; the calling thread simulates.
-/// Sleep-based pacing and day-close observation hooks are injectable via
-/// [`replay_with`] (this wrapper sleeps for [`ReplaySpeed::Times`] and
-/// ignores day closes).
+/// [`replay_with`] also observes each day close.
 ///
 /// # Panics
 ///
-/// Panics if `config.tick_secs` is 0, or if a [`ReplaySpeed::Times`] factor
-/// is not finite and positive.
+/// Panics if `config.tick_secs` is 0 or `config.resume_from` is not 0.
 pub fn replay(
     sim: &Simulator,
     store: &SessionStore,
     config: &ReplayConfig,
 ) -> (SimReport, ReplayStats) {
-    replay_with(
-        sim,
-        store,
-        config,
-        |secs| std::thread::sleep(std::time::Duration::from_secs_f64(secs)),
-        |_| {},
-    )
+    replay_with(sim, store, config, |_| {})
 }
 
-/// [`replay`] with an injectable pacer and day-close observer.
+/// [`replay`] with a day-close observer: `on_day_close` runs on the
+/// consumer (calling) thread as each day seals, exactly as
+/// [`Simulator::simulate_days`] reports them.
 ///
-/// `pace(wall_secs)` runs on the producer thread once per simulated tick
-/// under [`ReplaySpeed::Times`] (never under
-/// [`ReplaySpeed::MaxThroughput`]); tests substitute a recorder for the
-/// default sleep. `on_day_close` runs on the consumer (calling) thread as
-/// each day seals, exactly as
-/// [`Simulator::simulate_days`] reports
-/// them.
+/// # Panics
+///
+/// Panics if `config.tick_secs` is 0 or `config.resume_from` is not 0.
 pub fn replay_with(
     sim: &Simulator,
     store: &SessionStore,
     config: &ReplayConfig,
-    pace: impl FnMut(f64) + Send,
-    mut on_day_close: impl FnMut(DayClose),
+    on_day_close: impl FnMut(DayClose),
 ) -> (SimReport, ReplayStats) {
-    assert_eq!(
-        config.resume_from, 0,
-        "replay starts fresh runs; use resume_replay for a restored run"
-    );
-    let (sender, source) = channel(
-        store.horizon_secs(),
-        store.population_len(),
-        config.capacity,
-    );
-    let producer = feed_producer(store, config, sender, pace);
-    let (mut stats, (report, days_closed)) = parallel_join(producer, || {
-        let mut days_closed = 0u64;
-        let report = sim.simulate_days(source, |close| {
-            days_closed += 1;
-            on_day_close(close);
-        });
-        (report, days_closed)
-    });
-    stats.days_closed = days_closed;
-    (report, stats)
+    let run = sim.begin(store.horizon_secs(), store.population_len());
+    drive(run, store, config, on_day_close)
 }
 
 /// Resumes a crashed online run: drives a [`SegmentedRun`] restored by
@@ -465,62 +422,64 @@ pub fn replay_with(
 ///
 /// # Panics
 ///
-/// Panics if `config.tick_secs` is 0, a [`ReplaySpeed::Times`] factor is
-/// not finite and positive, or `config.resume_from` does not equal the
-/// restored run's watermark.
+/// Panics if `config.tick_secs` is 0 or `config.resume_from` does not
+/// equal the restored run's watermark.
 pub fn resume_replay(
     run: SegmentedRun,
     store: &SessionStore,
     config: &ReplayConfig,
 ) -> (SimReport, ReplayStats) {
+    drive(run, store, config, |_| {})
+}
+
+/// The one replay driver behind [`replay`], [`replay_with`] and
+/// [`resume_replay`]: a producer thread feeds the events at or after
+/// `config.resume_from` through a fresh [`channel`] while the calling
+/// thread finishes `run` over its batches. A fresh run's watermark is 0,
+/// so one check covers both the fresh and the resumed case.
+fn drive(
+    run: SegmentedRun,
+    store: &SessionStore,
+    config: &ReplayConfig,
+    mut on_day_close: impl FnMut(DayClose),
+) -> (SimReport, ReplayStats) {
     assert_eq!(
         config.resume_from,
         run.watermark(),
-        "resume_from must equal the restored run's watermark: behind it the \
-         source would violate the watermark contract, ahead of it events \
-         would be silently lost"
+        "resume_from must equal the run's watermark: behind it the source \
+         would violate the watermark contract, ahead of it events would be \
+         silently lost"
     );
     let (sender, source) = channel(
         store.horizon_secs(),
         store.population_len(),
         config.capacity,
     );
-    let producer = feed_producer(store, config, sender, |secs| {
-        std::thread::sleep(std::time::Duration::from_secs_f64(secs))
-    });
+    let producer = feed_producer(store, config, sender);
     let (mut stats, (report, days_closed)) = parallel_join(producer, || {
         let mut days_closed = 0u64;
-        let report = run.simulate_remaining_days(source, |_| days_closed += 1);
+        let report = run.simulate_remaining_days(source, |close| {
+            days_closed += 1;
+            on_day_close(close);
+        });
         (report, days_closed)
     });
     stats.days_closed = days_closed;
     (report, stats)
 }
 
-/// The shared producer loop of [`replay_with`] / [`resume_replay`]:
-/// one watermark per tick, emitted just before the first event that
-/// crosses it (paced), plus trailing ticks to cover the horizon so every
-/// day closes through the same cadence. Events starting before
-/// `config.resume_from` are skipped and ticks start past it, as are events
-/// the sender rejects. If the consumer hangs up early the partial stats
-/// are still meaningful.
+/// The producer loop of [`drive`]: one watermark per tick, emitted just
+/// before the first event that crosses it, plus trailing ticks to cover
+/// the horizon so every day closes through the same cadence. Events
+/// starting before `config.resume_from` are skipped and ticks start past
+/// it, as are events the sender rejects. If the consumer hangs up early
+/// the partial stats are still meaningful.
 fn feed_producer<'a>(
     store: &'a SessionStore,
     config: &ReplayConfig,
     mut sender: OnlineSender,
-    mut pace: impl FnMut(f64) + Send + 'a,
 ) -> impl FnOnce() -> ReplayStats + Send + 'a {
     assert!(config.tick_secs > 0, "tick_secs must be positive");
-    let wall_secs_per_tick = match config.speed {
-        ReplaySpeed::Times(n) => {
-            assert!(
-                n.is_finite() && n > 0.0,
-                "replay speed factor must be finite and positive, got {n}"
-            );
-            Some(config.tick_secs as f64 / n)
-        }
-        ReplaySpeed::MaxThroughput => None,
-    };
     let horizon = store.horizon_secs();
     let tick = config.tick_secs;
     let resume_from = config.resume_from;
@@ -535,9 +494,6 @@ fn feed_producer<'a>(
                 continue;
             }
             while record.start.as_secs() >= next_tick {
-                if let Some(wall) = wall_secs_per_tick {
-                    pace(wall);
-                }
                 if sender.advance_watermark(next_tick).is_err() {
                     return stats;
                 }
@@ -551,9 +507,6 @@ fn feed_producer<'a>(
             }
         }
         while next_tick < horizon + tick {
-            if let Some(wall) = wall_secs_per_tick {
-                pace(wall);
-            }
             if sender.advance_watermark(next_tick).is_err() {
                 return stats;
             }
@@ -731,43 +684,5 @@ mod tests {
                 .horizon_secs()
                 .div_ceil(consume_local_trace::time::SECS_PER_DAY)
         );
-    }
-
-    #[test]
-    fn paced_replay_sleeps_tick_over_factor() {
-        let store = store();
-        let sim = Simulator::new(SimConfig::default());
-        let mut paces: Vec<f64> = Vec::new();
-        let config = ReplayConfig {
-            speed: ReplaySpeed::Times(1e9), // enormous speed-up: no real waiting
-            tick_secs: 21_600,
-            capacity: 16,
-            ..ReplayConfig::default()
-        };
-        let mut closes = Vec::new();
-        let (report, stats) = replay_with(
-            &sim,
-            &store,
-            &config,
-            |secs| paces.push(secs),
-            |close| closes.push(close.day),
-        );
-        assert_eq!(report, sim.simulate(&store));
-        assert_eq!(paces.len() as u64, stats.watermarks);
-        assert!(paces.iter().all(|&s| s == 21_600.0 / 1e9));
-        let days: Vec<u32> = (0..closes.len() as u32).collect();
-        assert_eq!(closes, days, "days close in order, exactly once each");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn replay_rejects_nonpositive_speed() {
-        let store = store();
-        let sim = Simulator::new(SimConfig::default());
-        let config = ReplayConfig {
-            speed: ReplaySpeed::Times(0.0),
-            ..ReplayConfig::default()
-        };
-        let _ = replay(&sim, &store, &config);
     }
 }

@@ -13,10 +13,11 @@
 //! *any* crash point and *any* cadence. `tests/recovery.rs` sweeps the
 //! kill point over every batch boundary at 1/2/8 threads.
 //!
-//! The harness kills deterministically (a scripted `break`, not a signal):
-//! what is being tested is the recovery contract — snapshot completeness,
-//! watermark-aligned re-feeding, derived-state recomputation — not the
-//! operating system's process semantics.
+//! The harness kills deterministically (its loop stops at the planned
+//! ordinal; no signal is sent): what is being tested is the recovery
+//! contract — snapshot completeness, watermark-aligned re-feeding,
+//! derived-state recomputation — not the operating system's process
+//! semantics.
 
 use std::io;
 
@@ -94,13 +95,15 @@ pub fn batch_schedule(store: &SessionStore, tick_secs: u64) -> Vec<(SessionStore
 /// Runs the scripted disaster of `plan` over `store` and returns the
 /// recovered outcome (see the [module docs](self)).
 ///
-/// Phase 1 — the doomed consumer: pushes the [`batch_schedule`] batch by
-/// batch into a fresh run, checkpointing per the plan's policy, and is
-/// killed (state dropped) at the planned ordinal. Phase 2 — the
-/// successor: resumes from the newest readable snapshot
-/// ([`checkpoint::resume_latest`]) — or from scratch when no snapshot was
-/// ever written — and finishes the run through [`resume_replay`],
-/// re-feeding only the events at or after the snapshot's watermark.
+/// Phase 1 — the doomed consumer: feeds the [`batch_schedule`] batch by
+/// batch into a fresh run through the serving step of
+/// [`Simulator::simulate_days_checkpointed`] (push, drain the closed days,
+/// checkpoint per the plan's policy), and is killed (state dropped) at the
+/// planned ordinal. Phase 2 — the successor: resumes from the newest
+/// readable snapshot ([`checkpoint::resume_latest`]) — or from scratch
+/// when no snapshot was ever written — and finishes the run through
+/// [`resume_replay`], re-feeding only the events at or after the
+/// snapshot's watermark.
 ///
 /// # Errors
 ///
@@ -116,17 +119,8 @@ pub fn crash_and_recover(
     let mut checkpointer = Checkpointer::new(plan.policy.clone());
     {
         let mut run = sim.begin(store.horizon_secs(), store.population_len());
-        for (ordinal, (batch, watermark)) in schedule.iter().enumerate() {
-            if ordinal as u64 >= plan.crash_after_batches {
-                break;
-            }
-            run.push_batch(batch, *watermark);
-            let mut closes = 0u64;
-            run.drain_closed_days(|_| closes += 1);
-            checkpointer.note_watermark(&run)?;
-            for _ in 0..closes {
-                checkpointer.note_day_close(&run)?;
-            }
+        for ((batch, watermark), _) in schedule.iter().zip(0..plan.crash_after_batches) {
+            run.push_checkpointed(batch, *watermark, &mut checkpointer, |_| {})?;
         }
         // The crash: `run` is dropped here — everything accumulated since
         // the last snapshot is lost, exactly like a killed process.

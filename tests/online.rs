@@ -1,11 +1,11 @@
 //! Online-vs-batch byte-identity suite: the event-stream ingest path must
-//! reproduce the batch engine's `SimReport` exactly — at every replay
-//! speed, every worker count, every channel capacity and every watermark
-//! cadence — and the bounded channel must never drop or reorder events no
-//! matter how slow the consumer is.
+//! reproduce the batch engine's `SimReport` exactly — at every worker
+//! count, every channel capacity and every watermark cadence — and the
+//! bounded channel must never drop or reorder events no matter how slow
+//! the consumer is.
 
 use consume_local::prelude::*;
-use consume_local::sim::online::{self, ReplayConfig, ReplaySpeed};
+use consume_local::sim::online::{self, ReplayConfig};
 use consume_local::sim::par::parallel_join;
 use consume_local::sim::OnlineError;
 use consume_local::trace::time::SECS_PER_DAY;
@@ -34,28 +34,10 @@ fn replay_byte_identical_across_speeds_and_thread_counts() {
         let sim = simulator(threads);
         let expect = sim.simulate(&store);
         assert!(expect.total.demand_bytes > 0);
-        // Paced speeds go through `replay_with` with a recording pacer so
-        // the suite never actually sleeps; the pacing maths is pinned by
-        // the unit tests in `consume_local_sim::online`.
-        for factor in [1.0, 16.0] {
-            let config = ReplayConfig {
-                speed: ReplaySpeed::Times(factor),
-                ..ReplayConfig::default()
-            };
-            let mut paces = 0u64;
-            let (report, stats) =
-                online::replay_with(&sim, &store, &config, |_| paces += 1, |_| {});
-            assert_eq!(
-                report, expect,
-                "{factor}x replay must match the batch report at {threads} threads"
-            );
-            assert_eq!(stats.events, store.len() as u64);
-            assert_eq!(paces, stats.watermarks, "one pace per tick at {factor}x");
-        }
         let (report, stats) = online::replay(&sim, &store, &ReplayConfig::default());
         assert_eq!(
             report, expect,
-            "max-throughput replay must match the batch report at {threads} threads"
+            "replay must match the batch report at {threads} threads"
         );
         assert_eq!(stats.events, store.len() as u64);
     }
@@ -160,13 +142,9 @@ fn online_day_closes_match_the_batch_day_closes() {
     let mut batch_days = Vec::new();
     let batch_report = sim.simulate_days(&store, |close| batch_days.push(close));
     let mut online_days = Vec::new();
-    let (online_report, _) = online::replay_with(
-        &sim,
-        &store,
-        &ReplayConfig::default(),
-        |_| {},
-        |close| online_days.push(close),
-    );
+    let (online_report, _) = online::replay_with(&sim, &store, &ReplayConfig::default(), |close| {
+        online_days.push(close)
+    });
     assert_eq!(online_report, batch_report);
     assert_eq!(
         online_days, batch_days,

@@ -2,7 +2,8 @@
 //! per day (the batches the online producer emits at a daily tick) and
 //! pushed through one run must give the whole store's report **byte for
 //! byte** — whatever the records look like, and in particular when
-//! sessions straddle day boundaries.
+//! sessions straddle day boundaries. A run whose last watermark falls
+//! short of the horizon must finish with the same day closes and report.
 
 use proptest::prelude::*;
 
@@ -150,6 +151,49 @@ fn past_horizon_sessions_give_one_report_whatever_the_source() {
     let month = sim.simulate(&trace);
     assert_eq!(sim.simulate(&store), month);
     assert_eq!(simulate_by_day(&sim, &store), month);
+}
+
+#[test]
+fn finish_closes_the_days_a_short_watermark_left_open() {
+    // A month whose sessions all start before a cut, pushed hourly only up
+    // to the cut: `finish_days` must run the sessions still going past the
+    // cut to the horizon and close every later day, as the whole store
+    // closes them. The cuts fall on a day's end and inside a day.
+    let config = TraceConfig::london_sep2013().scaled(0.0003).unwrap();
+    let trace = TraceGenerator::new(config, 5).generate().unwrap();
+    let horizon = trace.horizon_seconds();
+    for cut in [SECS_PER_DAY, 10 * SECS_PER_DAY, 10 * SECS_PER_DAY + 7_200] {
+        let records: Vec<SessionRecord> = trace
+            .sessions()
+            .iter()
+            .filter(|r| r.start.as_secs() < cut)
+            .copied()
+            .collect();
+        let store = SessionStore::from_records(&records, horizon, trace.population().len());
+        for threads in [1, 2] {
+            let sim = Simulator::new(SimConfig {
+                threads,
+                ..Default::default()
+            });
+            let mut expect_closes = Vec::new();
+            let expect = sim.simulate_days(&store, |close| expect_closes.push(close));
+            let mut run = sim.begin(horizon, store.population_len());
+            let mut closes = Vec::new();
+            for (batch, watermark) in batch_schedule(&store, 3_600) {
+                if watermark > cut {
+                    break;
+                }
+                run.push_batch(&batch, watermark);
+                run.drain_closed_days(|close| closes.push(close));
+            }
+            let report = run.finish_days(|close| closes.push(close));
+            assert_eq!(closes.len() as u64, horizon.div_ceil(SECS_PER_DAY));
+            // Sessions run on past the cut, into a day no watermark sealed.
+            assert!(closes[(cut / SECS_PER_DAY) as usize].ledger.demand_bytes > 0);
+            assert_eq!(closes, expect_closes, "cut {cut}, {threads} threads");
+            assert_eq!(report, expect, "cut {cut}, {threads} threads");
+        }
+    }
 }
 
 /// `store` pushed through one run as one batch per day, each watermarked
