@@ -162,26 +162,6 @@ impl SweepGrid {
         }
     }
 
-    /// The ablation grid of the paper's Section IV: matcher locality ×
-    /// swarm policy × Δτ × upload ratio at one scale.
-    pub fn ablations(preset: ScalePreset) -> Self {
-        Self {
-            presets: vec![preset],
-            topologies: vec![TopologyPreset::LondonTop5],
-            matchers: vec![MatcherKind::Hierarchical, MatcherKind::Random],
-            policies: vec![
-                SwarmPolicy::paper_default(),
-                SwarmPolicy::cross_isp(),
-                SwarmPolicy::mixed_bitrate(),
-                SwarmPolicy::content_only(),
-            ],
-            window_secs: vec![5, 10, 30],
-            upload_ratios: vec![0.5, 1.0],
-            churn_rates: vec![0.0],
-            cooperation: vec![1.0],
-        }
-    }
-
     /// Number of scenarios the grid expands to.
     pub fn len(&self) -> usize {
         self.presets.len()
@@ -836,10 +816,6 @@ mod tests {
         let mut empty = grid;
         empty.matchers.clear();
         assert!(empty.is_empty());
-        assert_eq!(
-            SweepGrid::ablations(ScalePreset::Smoke).len(),
-            2 * 4 * 3 * 2
-        );
     }
 
     #[test]

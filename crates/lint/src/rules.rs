@@ -120,8 +120,8 @@ pub struct FileClass {
     /// `std::thread::{spawn,scope}` is legitimate here — only
     /// `crates/stats/src/par.rs`, the home of the slot-ordered primitives.
     pub thread_spawn_allowed: bool,
-    /// The `snapshot-format` rule applies: sim-crate sources (except the
-    /// `checkpoint` module, which *is* the envelope codec) may not do raw
+    /// The `snapshot-format` rule applies: sim-crate sources (except
+    /// `checkpoint.rs`, which *is* the envelope codec) may not do raw
     /// byte-level I/O.
     pub snapshot_guarded: bool,
 }

@@ -54,7 +54,7 @@ pub fn classify(rel: &str) -> FileClass {
         thread_spawn_allowed: rel == "crates/stats/src/par.rs",
         // Snapshot bytes must flow through the checkpoint envelope codec;
         // `checkpoint.rs` is that codec, everything else in the sim crate
-        // is guarded.
+        // is guarded, the payload layout in `checkpoint/payload.rs` too.
         snapshot_guarded: rel.starts_with("crates/sim/src/")
             && rel != "crates/sim/src/checkpoint.rs",
     }

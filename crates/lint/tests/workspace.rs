@@ -50,12 +50,19 @@ fn classification_matches_layout() {
     let par = classify("crates/stats/src/par.rs");
     assert!(par.thread_spawn_allowed && !par.crate_root);
 
-    // The snapshot-format guard covers the sim crate, except the envelope
-    // codec itself.
-    let engine = classify("crates/sim/src/engine.rs");
-    assert!(engine.snapshot_guarded);
-    let faults = classify("crates/sim/src/online/faults.rs");
-    assert!(faults.snapshot_guarded);
+    // The snapshot-format guard covers the sim crate, the engine's files
+    // and the payload layout included, except the envelope codec itself.
+    for guarded in [
+        "crates/sim/src/engine.rs",
+        "crates/sim/src/engine/machine.rs",
+        "crates/sim/src/engine/run.rs",
+        "crates/sim/src/engine/oracle.rs",
+        "crates/sim/src/engine/tests.rs",
+        "crates/sim/src/checkpoint/payload.rs",
+        "crates/sim/src/online/faults.rs",
+    ] {
+        assert!(classify(guarded).snapshot_guarded, "{guarded}");
+    }
     let codec = classify("crates/sim/src/checkpoint.rs");
     assert!(!codec.snapshot_guarded);
     assert!(!root.snapshot_guarded);

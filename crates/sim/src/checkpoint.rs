@@ -21,7 +21,7 @@
 //! 8       4     format version (u32 LE)
 //! 12      8     payload length in bytes (u64 LE)
 //! 20      n     payload: the engine state, LE primitives, length-prefixed
-//!               sequences (see `engine.rs` for the field-by-field layout)
+//!               sequences (the `payload` submodule holds its layout)
 //! 20+n    8     FNV-1a-64 digest of the payload (u64 LE)
 //! ```
 //!
@@ -51,6 +51,8 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::engine::{SegmentedRun, Simulator};
+
+mod payload;
 
 /// The 8-byte snapshot magic. `\r\n` at the end makes accidental text-mode
 /// translation detectable, PNG-style.

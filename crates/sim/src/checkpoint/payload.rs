@@ -1,0 +1,724 @@
+//! The snapshot payload: the field-by-field layout of a run's resumable
+//! state inside the envelope of its parent module, written by
+//! [`SegmentedRun::checkpoint`] and read back by [`Simulator::resume`].
+//!
+//! Every `put_*` below has its exactly-inverse `take_*`; the envelope
+//! (magic, version, digest) lives in [`crate::checkpoint`]. Bumping
+//! [`SNAPSHOT_VERSION`](super::SNAPSHOT_VERSION) is required for any layout
+//! change here.
+
+use std::collections::VecDeque;
+use std::io::{Read, Write};
+
+use consume_local_swarm::{MatcherKind, Peer, SwarmKey, SwarmPolicy};
+use consume_local_topology::{ExchangeId, IspId, PopId, UserLocation};
+use consume_local_trace::{device::BitrateClass, ContentId};
+
+use super::{CheckpointError, SnapshotReader, SnapshotWriter};
+use crate::config::{EdgeCache, SimConfig, UploadModel};
+use crate::engine::machine::{ActiveSet, MatcherSlot, PendingSession, SwarmSim};
+use crate::engine::run::{FrozenDay, SwarmState};
+use crate::engine::{sealed_days, SegmentedRun, Simulator};
+use crate::ledger::ByteLedger;
+use crate::report::{Degradation, UserTraffic};
+
+impl SegmentedRun {
+    /// Serialises the run's complete resumable state as one versioned
+    /// snapshot (see [`crate::checkpoint`] for the envelope): configuration
+    /// and horizon, the per-user totals (one row per user, in user id
+    /// order), run-level counters and every swarm machine — active-set
+    /// columns with their per-session bytes, carried sessions, matcher
+    /// state word and accumulated ledgers. [`Simulator::resume`] inverts
+    /// it; the restored run continues byte-identically.
+    ///
+    /// Call at a batch boundary (between [`SegmentedRun::push_batch`]
+    /// calls) — mid-batch there is no coherent state to capture.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures as [`CheckpointError::Io`].
+    pub fn checkpoint(&self, out: &mut impl Write) -> Result<(), CheckpointError> {
+        let mut w = SnapshotWriter::new();
+        put_config(&mut w, self.sim.config());
+        w.put_u64(self.horizon_secs);
+        w.put_len(self.users.len());
+        for t in &self.users {
+            w.put_u64(t.watched_bytes);
+            w.put_u64(t.uploaded_bytes);
+        }
+        w.put_u64(self.watermark);
+        w.put_u64(self.closed_days);
+        w.put_u64(self.spilled_days);
+        w.put_len(self.spilled_cells.len());
+        for (day, isp, ledger) in &self.spilled_cells {
+            w.put_u32(*day);
+            match isp {
+                Some(isp) => {
+                    w.put_bool(true);
+                    w.put_u8(isp.0);
+                }
+                None => w.put_bool(false),
+            }
+            put_ledger(&mut w, ledger);
+        }
+        w.put_u64(self.max_start_secs);
+        w.put_u32(self.max_user);
+        w.put_u32(self.max_content);
+        w.put_len(self.states.len());
+        for &slot in self.index.values() {
+            let state = &self.states[slot as usize];
+            put_key(&mut w, &state.key);
+            w.put_u64(state.sessions);
+            w.put_len(state.frozen.len());
+            for f in &state.frozen {
+                w.put_u32(f.day);
+                w.put_u64(f.demand_bytes);
+                w.put_u64(f.active_windows);
+                w.put_u64(f.peer_windows);
+            }
+            put_swarm(&mut w, &state.swarm);
+        }
+        w.finish(out)
+    }
+}
+
+impl Simulator {
+    /// Rebuilds a [`SegmentedRun`] from a snapshot written by
+    /// [`SegmentedRun::checkpoint`]. The restored run is byte-equivalent to
+    /// the one that was checkpointed: feeding it the batches the original
+    /// would have received after the snapshot's watermark (at any batch
+    /// schedule or thread count) yields the exact report of the
+    /// uninterrupted run.
+    ///
+    /// Derived state the snapshot omits — matcher scratch, cached
+    /// membership sums, the edge-cache membership bit — is recomputed here;
+    /// none of it affects outcomes (pinned by `tests/recovery.rs`). A
+    /// machine with no active or carried sessions comes back dormant, as
+    /// the donor left it.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CheckpointError`]: envelope violations from the reader,
+    /// [`CheckpointError::Corrupt`] for structurally invalid payloads
+    /// (unknown tags, out-of-order keys, more closed days than spilled
+    /// ones, a population with more rows than the payload holds, user ids
+    /// outside the population, an invalid configuration).
+    pub fn resume(input: &mut impl Read) -> Result<SegmentedRun, CheckpointError> {
+        let mut r = SnapshotReader::from_reader(input)?;
+        let config = take_config(&mut r)?;
+        let sim = Simulator::try_new(config)
+            .map_err(|_| CheckpointError::Corrupt("invalid configuration"))?;
+        let horizon_secs = r.take_u64("horizon")?;
+        // Each user's totals take 16 payload bytes, so the population is
+        // bounded by the bytes left before anything is allocated for it.
+        let population_len = r.take_len_of(16, "population length")?;
+        let mut users = Vec::with_capacity(population_len);
+        for _ in 0..population_len {
+            users.push(UserTraffic {
+                watched_bytes: r.take_u64("watched bytes")?,
+                uploaded_bytes: r.take_u64("uploaded bytes")?,
+            });
+        }
+        let watermark = r.take_u64("watermark")?;
+        let closed_days = r.take_u64("closed days")?;
+        let spilled_days = r.take_u64("spilled days")?;
+        if spilled_days != sealed_days(watermark, horizon_secs) {
+            return Err(CheckpointError::Corrupt(
+                "spilled days differ from the days the watermark sealed",
+            ));
+        }
+        if closed_days > spilled_days {
+            return Err(CheckpointError::Corrupt(
+                "closed days exceed the spilled days",
+            ));
+        }
+        let cells = r.take_len("spilled cell count")?;
+        let mut spilled_cells = Vec::with_capacity(cells);
+        let mut prev_cell: Option<(u32, Option<IspId>)> = None;
+        for _ in 0..cells {
+            let day = r.take_u32("spilled cell day")?;
+            if u64::from(day) >= spilled_days {
+                return Err(CheckpointError::Corrupt("spilled cell past boundary"));
+            }
+            let isp = if r.take_bool("spilled cell isp flag")? {
+                Some(IspId(r.take_u8("spilled cell isp")?))
+            } else {
+                None
+            };
+            if prev_cell.is_some_and(|p| p >= (day, isp)) {
+                return Err(CheckpointError::Corrupt("spilled cells out of order"));
+            }
+            prev_cell = Some((day, isp));
+            spilled_cells.push((day, isp, take_ledger(&mut r)?));
+        }
+        let max_start_secs = r.take_u64("sort-key maxima")?;
+        let max_user = r.take_u32("sort-key maxima")?;
+        let max_content = r.take_u32("sort-key maxima")?;
+        let n = r.take_len("swarm count")?;
+        let mut states = Vec::with_capacity(n);
+        let mut live = Vec::new();
+        let mut touched = Vec::new();
+        let mut prev: Option<SwarmKey> = None;
+        let n =
+            u32::try_from(n).map_err(|_| CheckpointError::Corrupt("swarm count out of bounds"))?;
+        for slot in 0..n {
+            let key = take_key(&mut r)?;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(CheckpointError::Corrupt("swarm keys out of order"));
+            }
+            prev = Some(key);
+            let sessions = r.take_u64("swarm session count")?;
+            let frozen_len = r.take_len("frozen day count")?;
+            let mut frozen = Vec::with_capacity(frozen_len);
+            let mut prev_day: Option<u32> = None;
+            for _ in 0..frozen_len {
+                let day = r.take_u32("frozen day index")?;
+                if u64::from(day) >= spilled_days || prev_day.is_some_and(|p| p >= day) {
+                    return Err(CheckpointError::Corrupt("frozen days out of order"));
+                }
+                prev_day = Some(day);
+                frozen.push(FrozenDay {
+                    day,
+                    demand_bytes: r.take_u64("frozen day")?,
+                    active_windows: r.take_u64("frozen day")?,
+                    peer_windows: r.take_u64("frozen day")?,
+                });
+            }
+            let swarm = take_swarm(&mut r, &sim, &key, population_len)?;
+            // Machines come back in key order. A quiescent one comes back
+            // frozen, so only those with unspilled days are touched.
+            if !swarm.is_quiescent() {
+                live.push(slot);
+            }
+            let holds_days = !swarm.daily.is_empty();
+            if holds_days {
+                touched.push(slot);
+            }
+            states.push(SwarmState {
+                key,
+                sessions,
+                frozen,
+                touched: holds_days,
+                swarm,
+            });
+        }
+        r.finish()?;
+        // Keys in ascending order: the index is built in bulk.
+        let index = (0..).zip(&states).map(|(slot, s)| (s.key, slot)).collect();
+        Ok(SegmentedRun {
+            sim,
+            horizon_secs,
+            states,
+            index,
+            live,
+            touched,
+            users,
+            watermark,
+            closed_days,
+            spilled_days,
+            spilled_cells,
+            max_start_secs,
+            max_user,
+            max_content,
+        })
+    }
+}
+
+fn put_config(w: &mut SnapshotWriter, c: &SimConfig) {
+    w.put_u64(c.window_secs);
+    match c.upload {
+        UploadModel::Ratio(r) => {
+            w.put_u8(0);
+            w.put_f64(r);
+        }
+        UploadModel::AbsoluteBps(q) => {
+            w.put_u8(1);
+            w.put_u32(q);
+        }
+    }
+    w.put_bool(c.policy.split_by_isp);
+    w.put_bool(c.policy.split_by_bitrate);
+    w.put_u8(match c.matcher {
+        MatcherKind::Hierarchical => 0,
+        MatcherKind::Random => 1,
+    });
+    w.put_u64(c.seed);
+    w.put_u64(c.threads as u64);
+    w.put_f64(c.preload_fraction);
+    match c.edge_cache {
+        Some(cache) => {
+            w.put_bool(true);
+            w.put_u32(cache.top_items);
+        }
+        None => w.put_bool(false),
+    }
+    w.put_f64(c.participation_rate);
+    w.put_f64(c.cooperation_rate);
+}
+
+fn take_config(r: &mut SnapshotReader) -> Result<SimConfig, CheckpointError> {
+    let window_secs = r.take_u64("window length")?;
+    let upload = match r.take_u8("upload model tag")? {
+        0 => UploadModel::Ratio(r.take_f64("upload ratio")?),
+        1 => UploadModel::AbsoluteBps(r.take_u32("upload bandwidth")?),
+        _ => return Err(CheckpointError::Corrupt("unknown upload model tag")),
+    };
+    let policy = SwarmPolicy {
+        split_by_isp: r.take_bool("policy")?,
+        split_by_bitrate: r.take_bool("policy")?,
+    };
+    let matcher = match r.take_u8("matcher tag")? {
+        0 => MatcherKind::Hierarchical,
+        1 => MatcherKind::Random,
+        _ => return Err(CheckpointError::Corrupt("unknown matcher tag")),
+    };
+    let seed = r.take_u64("seed")?;
+    // A count past `usize` saturates; the restore's validation rejects it.
+    let threads = usize::try_from(r.take_u64("threads")?).unwrap_or(usize::MAX);
+    let preload_fraction = r.take_f64("preload fraction")?;
+    let edge_cache = if r.take_bool("edge cache flag")? {
+        Some(EdgeCache {
+            top_items: r.take_u32("edge cache items")?,
+        })
+    } else {
+        None
+    };
+    let participation_rate = r.take_f64("participation rate")?;
+    let cooperation_rate = r.take_f64("cooperation rate")?;
+    Ok(SimConfig {
+        window_secs,
+        upload,
+        policy,
+        matcher,
+        seed,
+        threads,
+        preload_fraction,
+        edge_cache,
+        participation_rate,
+        cooperation_rate,
+    })
+}
+
+fn put_key(w: &mut SnapshotWriter, key: &SwarmKey) {
+    w.put_u32(key.content.0);
+    match key.isp {
+        Some(isp) => {
+            w.put_bool(true);
+            w.put_u8(isp.0);
+        }
+        None => w.put_bool(false),
+    }
+    match key.bitrate {
+        Some(b) => {
+            w.put_bool(true);
+            w.put_u32(b.bps());
+        }
+        None => w.put_bool(false),
+    }
+}
+
+fn take_key(r: &mut SnapshotReader) -> Result<SwarmKey, CheckpointError> {
+    let content = ContentId(r.take_u32("swarm content")?);
+    let isp = if r.take_bool("swarm isp flag")? {
+        Some(IspId(r.take_u8("swarm isp")?))
+    } else {
+        None
+    };
+    let bitrate = if r.take_bool("swarm bitrate flag")? {
+        Some(BitrateClass(r.take_u32("swarm bitrate")?))
+    } else {
+        None
+    };
+    Ok(SwarmKey {
+        content,
+        isp,
+        bitrate,
+    })
+}
+
+fn put_ledger(w: &mut SnapshotWriter, l: &ByteLedger) {
+    w.put_u64(l.demand_bytes);
+    w.put_u64(l.server_bytes);
+    for &v in &l.peer_bytes_by_layer {
+        w.put_u64(v);
+    }
+    w.put_u64(l.cache_bytes);
+    w.put_u64(l.preload_bytes);
+    w.put_u64(l.active_windows);
+    w.put_u64(l.peer_windows);
+}
+
+fn take_ledger(r: &mut SnapshotReader) -> Result<ByteLedger, CheckpointError> {
+    let mut l = ByteLedger::new();
+    l.demand_bytes = r.take_u64("ledger")?;
+    l.server_bytes = r.take_u64("ledger")?;
+    for v in &mut l.peer_bytes_by_layer {
+        *v = r.take_u64("ledger")?;
+    }
+    l.cache_bytes = r.take_u64("ledger")?;
+    l.preload_bytes = r.take_u64("ledger")?;
+    l.active_windows = r.take_u64("ledger")?;
+    l.peer_windows = r.take_u64("ledger")?;
+    Ok(l)
+}
+
+fn put_peer(w: &mut SnapshotWriter, p: &Peer) {
+    w.put_u8(p.isp.0);
+    w.put_u32(p.location.exchange().0);
+    w.put_u32(p.location.pop().0);
+}
+
+fn take_peer(r: &mut SnapshotReader) -> Result<Peer, CheckpointError> {
+    let isp = IspId(r.take_u8("peer isp")?);
+    let exchange = ExchangeId(r.take_u32("peer exchange")?);
+    let pop = PopId(r.take_u32("peer pop")?);
+    Ok(Peer {
+        isp,
+        location: UserLocation::from_raw_parts(exchange, pop),
+    })
+}
+
+fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
+    w.put_u64(s.matcher.word());
+    w.put_u64(s.t.as_secs());
+    w.put_f64(s.upload_ratio);
+    put_ledger(w, &s.ledger);
+    w.put_u64(s.degradation.failed_transfer_bytes);
+    for &v in &s.degradation.failed_by_layer {
+        w.put_u64(v);
+    }
+    w.put_u64(s.degradation.defection_windows);
+    w.put_u64(s.degradation.failed_demand_bytes);
+    w.put_len(s.daily.len());
+    for (day, ledger) in &s.daily {
+        w.put_u32(*day);
+        put_ledger(w, ledger);
+    }
+    w.put_len(s.active.len());
+    for &v in &s.active.ends {
+        w.put_u64(v);
+    }
+    for &v in &s.active.users {
+        w.put_u32(v);
+    }
+    for &v in &s.active.watched {
+        w.put_u64(v);
+    }
+    for &v in &s.active.uploaded {
+        w.put_u64(v);
+    }
+    for p in &s.active.peers {
+        put_peer(w, p);
+    }
+    for &v in &s.active.full_demands {
+        w.put_u64(v);
+    }
+    for &v in &s.active.demands {
+        w.put_u64(v);
+    }
+    for &v in &s.active.preloads {
+        w.put_u64(v);
+    }
+    for &v in &s.active.needs {
+        w.put_u64(v);
+    }
+    for &v in &s.active.budgets {
+        w.put_u64(v);
+    }
+    w.put_len(s.carry.len());
+    for p in &s.carry {
+        w.put_u64(p.start);
+        w.put_u64(p.end);
+        w.put_u32(p.user);
+        w.put_u32(p.bitrate_bps);
+        w.put_u8(p.isp.0);
+        w.put_u32(p.location.exchange().0);
+        w.put_u32(p.location.pop().0);
+    }
+}
+
+/// Reads a user id, rejecting one that does not index the run's per-user
+/// totals.
+fn take_user(r: &mut SnapshotReader, population_len: usize) -> Result<u32, CheckpointError> {
+    let user = r.take_u32("user id")?;
+    if user as usize >= population_len {
+        return Err(CheckpointError::Corrupt("user id outside the population"));
+    }
+    Ok(user)
+}
+
+fn take_swarm(
+    r: &mut SnapshotReader,
+    sim: &Simulator,
+    key: &SwarmKey,
+    population_len: usize,
+) -> Result<SwarmSim, CheckpointError> {
+    let word = r.take_u64("matcher word")?;
+    let t = r.take_u64("window boundary")?;
+    let upload_ratio = r.take_f64("upload ratio")?;
+    let ledger = take_ledger(r)?;
+    let degradation = Degradation {
+        failed_transfer_bytes: r.take_u64("degradation")?,
+        failed_by_layer: [
+            r.take_u64("degradation")?,
+            r.take_u64("degradation")?,
+            r.take_u64("degradation")?,
+        ],
+        defection_windows: r.take_u64("degradation")?,
+        failed_demand_bytes: r.take_u64("degradation")?,
+    };
+
+    let daily_len = r.take_len("daily ledgers")?;
+    let mut daily = Vec::with_capacity(daily_len);
+    let mut prev_day: Option<u32> = None;
+    for _ in 0..daily_len {
+        let day = r.take_u32("day index")?;
+        if prev_day.is_some_and(|p| p >= day) {
+            return Err(CheckpointError::Corrupt("daily ledgers out of order"));
+        }
+        prev_day = Some(day);
+        daily.push((day, take_ledger(r)?));
+    }
+
+    let active_len = r.take_len("active set")?;
+    let mut active = ActiveSet::default();
+    for _ in 0..active_len {
+        active.ends.push(r.take_u64("active ends")?);
+    }
+    for _ in 0..active_len {
+        active.users.push(take_user(r, population_len)?);
+    }
+    for _ in 0..active_len {
+        active.watched.push(r.take_u64("active watched bytes")?);
+    }
+    for _ in 0..active_len {
+        active.uploaded.push(r.take_u64("active uploaded bytes")?);
+    }
+    for _ in 0..active_len {
+        active.peers.push(take_peer(r)?);
+    }
+    for _ in 0..active_len {
+        active.full_demands.push(r.take_u64("active demands")?);
+    }
+    for _ in 0..active_len {
+        active.demands.push(r.take_u64("active demands")?);
+    }
+    for _ in 0..active_len {
+        active.preloads.push(r.take_u64("active preloads")?);
+    }
+    for _ in 0..active_len {
+        active.needs.push(r.take_u64("active needs")?);
+    }
+    for _ in 0..active_len {
+        active.budgets.push(r.take_u64("active budgets")?);
+    }
+    active.min_end = active.ends.iter().copied().min().unwrap_or(u64::MAX);
+
+    let carry_len = r.take_len("carry buffer")?;
+    let mut carry = VecDeque::with_capacity(carry_len);
+    for _ in 0..carry_len {
+        let start = r.take_u64("carry start")?;
+        let end = r.take_u64("carry end")?;
+        let user = take_user(r, population_len)?;
+        let bitrate_bps = r.take_u32("carry bitrate")?;
+        let isp = IspId(r.take_u8("carry isp")?);
+        let exchange = ExchangeId(r.take_u32("carry exchange")?);
+        let pop = PopId(r.take_u32("carry pop")?);
+        if carry
+            .back()
+            .is_some_and(|p: &PendingSession| p.start > start)
+        {
+            return Err(CheckpointError::Corrupt("carry buffer out of order"));
+        }
+        carry.push_back(PendingSession {
+            start,
+            end,
+            user,
+            bitrate_bps,
+            isp,
+            location: UserLocation::from_raw_parts(exchange, pop),
+        });
+    }
+
+    let mut swarm = SwarmSim::new(sim, key, t, upload_ratio);
+    swarm.active = active;
+    swarm.carry = carry;
+    swarm.ledger = ledger;
+    swarm.daily = daily;
+    swarm.degradation = degradation;
+    // A quiescent machine comes back dormant, exactly as `freeze` left it
+    // in the donor, without replaying the random matcher's stream to the
+    // word; `thaw` does that when a session arrives.
+    if swarm.is_quiescent() {
+        swarm.matcher = MatcherSlot::Dormant { word };
+    } else {
+        swarm.matcher.live_mut().restore_word(word);
+    }
+    Ok(swarm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{SimConfigError, MAX_THREADS};
+    use crate::online::faults::batch_schedule;
+    use consume_local_trace::{SessionStore, TraceConfig, TraceGenerator};
+
+    fn snapshot_of(run: &SegmentedRun) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        run.checkpoint(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// Every thread count `validate` accepts restores from its own
+    /// snapshot, and one past the bound is rejected up front. Only empty
+    /// runs are built and nothing is pushed, so no worker thread starts.
+    #[test]
+    fn every_valid_thread_count_restores_from_its_snapshot() {
+        for threads in [MAX_THREADS, MAX_THREADS + 1] {
+            let config = SimConfig {
+                threads,
+                ..SimConfig::default()
+            };
+            if threads > MAX_THREADS {
+                assert_eq!(
+                    config.validate(),
+                    Err(SimConfigError::TooManyThreads(threads))
+                );
+                continue;
+            }
+            let run = Simulator::new(config.clone()).begin(86_400, 3);
+            let restored = Simulator::resume(&mut snapshot_of(&run).as_slice()).unwrap();
+            assert_eq!(restored.sim.config(), &config);
+        }
+    }
+
+    /// Each structural rejection of the decoder, by its exact message. A
+    /// case either forges a payload with the codec's own writers or
+    /// tampers with the private state of a run restored from a mid-day
+    /// snapshot (live machines, spilled and frozen days) before it
+    /// checkpoints again.
+    #[test]
+    fn decoder_rejects_each_structural_violation_by_name() {
+        let trace = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 11)
+            .generate()
+            .unwrap();
+        let store = SessionStore::from_trace(&trace);
+        let sim = Simulator::new(SimConfig::default());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        // 11 ticks of 9 000 s end mid day 1: day 0 is spilled.
+        for (batch, watermark) in &batch_schedule(&store, 9_000)[..11] {
+            run.push_batch(batch, *watermark);
+        }
+        let pristine = snapshot_of(&run);
+        let tampered = |edit: &dyn Fn(&mut SegmentedRun)| {
+            let mut run = Simulator::resume(&mut pristine.as_slice()).unwrap();
+            edit(&mut run);
+            snapshot_of(&run)
+        };
+        let forged = |write: &dyn Fn(&mut SnapshotWriter)| {
+            let mut w = SnapshotWriter::new();
+            write(&mut w);
+            let mut bytes = Vec::new();
+            w.finish(&mut bytes).unwrap();
+            bytes
+        };
+        // The config's leading fields: window length, then the ratio upload
+        // model, then the two policy flags.
+        let config_head = |w: &mut SnapshotWriter| {
+            w.put_u64(10);
+            w.put_u8(0);
+            w.put_f64(1.0);
+        };
+        let pending = |start| PendingSession {
+            start,
+            end: start + 600,
+            user: 0,
+            bitrate_bps: 1_500_000,
+            isp: IspId(0),
+            location: UserLocation::from_raw_parts(ExchangeId(0), PopId(0)),
+        };
+        let cases = [
+            (
+                "invalid configuration",
+                forged(&|w| {
+                    let config = SimConfig {
+                        threads: MAX_THREADS + 1,
+                        ..SimConfig::default()
+                    };
+                    put_config(w, &config);
+                }),
+            ),
+            (
+                "unknown upload model tag",
+                forged(&|w| {
+                    w.put_u64(10);
+                    w.put_u8(2);
+                }),
+            ),
+            (
+                "bool byte out of range",
+                forged(&|w| {
+                    config_head(w);
+                    w.put_u8(2);
+                }),
+            ),
+            (
+                "unknown matcher tag",
+                forged(&|w| {
+                    config_head(w);
+                    w.put_bool(true);
+                    w.put_bool(true);
+                    w.put_u8(2);
+                }),
+            ),
+            (
+                "spilled cell past boundary",
+                tampered(&|run| {
+                    let day = run.spilled_days as u32;
+                    run.spilled_cells.push((day, None, ByteLedger::new()));
+                }),
+            ),
+            (
+                "spilled cells out of order",
+                tampered(&|run| run.spilled_cells.reverse()),
+            ),
+            (
+                "swarm keys out of order",
+                tampered(&|run| run.states[1].key = run.states[0].key),
+            ),
+            (
+                "frozen days out of order",
+                tampered(&|run| {
+                    let state = run.states.iter_mut().find(|s| !s.frozen.is_empty());
+                    let frozen = &mut state.expect("a swarm with a spilled day").frozen;
+                    frozen.push(frozen[0]);
+                }),
+            ),
+            (
+                "daily ledgers out of order",
+                tampered(&|run| {
+                    let state = run.states.iter_mut().find(|s| !s.swarm.daily.is_empty());
+                    let daily = &mut state.expect("a swarm with an open day").swarm.daily;
+                    daily.push(daily[0]);
+                }),
+            ),
+            (
+                "carry buffer out of order",
+                tampered(&|run| {
+                    let carry = &mut run.states[0].swarm.carry;
+                    carry.push_back(pending(run.watermark + 20));
+                    carry.push_back(pending(run.watermark + 10));
+                }),
+            ),
+        ];
+        assert!(Simulator::resume(&mut pristine.as_slice()).is_ok());
+        for (message, bytes) in cases {
+            match Simulator::resume(&mut bytes.as_slice()) {
+                Err(CheckpointError::Corrupt(found)) => assert_eq!(found, message),
+                Err(e) => panic!("{message}: failed as {e}"),
+                Ok(_) => panic!("{message}: the snapshot restored"),
+            }
+        }
+    }
+}

@@ -18,6 +18,8 @@ pub enum SimConfigError {
     ZeroUploadBandwidth,
     /// `threads` was zero.
     ZeroThreads,
+    /// `threads` exceeded 4 096, the most a snapshot restores.
+    TooManyThreads(usize),
     /// `preload_fraction` was outside `[0, 1)`.
     BadPreloadFraction(f64),
     /// `edge_cache.top_items` was zero.
@@ -40,6 +42,9 @@ impl fmt::Display for SimConfigError {
                 write!(f, "absolute upload bandwidth must be positive")
             }
             SimConfigError::ZeroThreads => write!(f, "threads must be at least 1"),
+            SimConfigError::TooManyThreads(n) => {
+                write!(f, "threads must be at most {MAX_THREADS}, got {n}")
+            }
             SimConfigError::BadPreloadFraction(p) => {
                 write!(f, "preload_fraction must be in [0, 1), got {p}")
             }
@@ -68,6 +73,11 @@ impl From<ChurnConfigError> for SimConfigError {
         SimConfigError::Churn(e)
     }
 }
+
+/// The most worker threads a [`SimConfig`] may ask for. A snapshot carries
+/// its run's configuration and a restore validates it, so a run that
+/// validates always resumes from its own snapshot.
+pub(crate) const MAX_THREADS: usize = 4096;
 
 /// How much upload bandwidth each peer contributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,8 +143,8 @@ pub struct SimConfig {
     pub matcher: MatcherKind,
     /// Seed for matcher randomness (only used by the random matcher).
     pub seed: u64,
-    /// Number of worker threads (`1` = sequential; results are identical
-    /// either way).
+    /// Number of worker threads, from 1 (sequential) to 4 096; results are
+    /// identical at any count.
     pub threads: usize,
     /// §VI predictive preloading: the fraction of every session's bytes
     /// prefetched from the CDN ahead of playback, in `[0, 1)`. Preloaded
@@ -210,6 +220,9 @@ impl SimConfig {
         }
         if self.threads == 0 {
             return Err(SimConfigError::ZeroThreads);
+        }
+        if self.threads > MAX_THREADS {
+            return Err(SimConfigError::TooManyThreads(self.threads));
         }
         if !(0.0..1.0).contains(&self.preload_fraction) {
             return Err(SimConfigError::BadPreloadFraction(self.preload_fraction));
@@ -311,6 +324,12 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+        let c = SimConfig {
+            threads: MAX_THREADS + 1,
+            ..Default::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert_eq!(err.to_string(), "threads must be at most 4096, got 4097");
         let c = SimConfig {
             preload_fraction: 1.0,
             ..Default::default()

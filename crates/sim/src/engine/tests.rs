@@ -1,0 +1,1034 @@
+//! The engine's unit tests: the entry points end to end, and the run,
+//! the machine and the snapshot round trip through them.
+
+use super::machine::MatcherSlot;
+use super::run::{cost_chunks, CHUNKS_PER_WORKER};
+use super::*;
+use crate::online::faults::batch_schedule;
+use consume_local_energy::EnergyParams;
+use consume_local_swarm::{MatcherKind, SwarmPolicy};
+use consume_local_topology::{ExchangeId, IspId, IspTopology};
+use consume_local_trace::device::DeviceClass;
+use consume_local_trace::time::SECS_PER_DAY;
+use consume_local_trace::{
+    ContentId, SessionRecord, SimTime, Trace, TraceConfig, TraceGenerator, UserId,
+};
+
+fn tiny_trace() -> Trace {
+    TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 11)
+        .generate()
+        .unwrap()
+}
+
+/// A hand-built trace: two users, same ISP/exchange/bitrate, overlapping
+/// sessions on one item.
+fn pair_trace(offset_secs: u64) -> Trace {
+    let base = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0002).unwrap(), 3)
+        .generate()
+        .unwrap();
+    let topo = IspTopology::london_table3().unwrap();
+    let loc = topo.location_of(ExchangeId(5));
+    let mk = |user: u32, start: u64| SessionRecord {
+        user: UserId(user),
+        content: ContentId(0),
+        start: SimTime(start),
+        duration_secs: 600,
+        device: DeviceClass::Desktop,
+        isp: IspId(0),
+        location: loc,
+    };
+    Trace::from_parts(
+        base.config().clone(),
+        base.catalogue().clone(),
+        base.population().clone(),
+        vec![mk(0, 0), mk(1, offset_secs)],
+    )
+}
+
+#[test]
+fn lone_viewer_gets_everything_from_server() {
+    let trace = pair_trace(100_000); // sessions never overlap
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    assert_eq!(report.total.peer_bytes(), 0);
+    assert_eq!(report.total.server_bytes, report.total.demand_bytes);
+    assert_eq!(report.total_savings(&EnergyParams::valancius()), Some(0.0));
+    report.check_conservation().unwrap();
+}
+
+#[test]
+fn overlapping_pair_shares_locally() {
+    let trace = pair_trace(0); // full overlap
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    // Each 10 s window: fetcher from server, peer 1 fully from peer 0.
+    let demand = report.total.demand_bytes;
+    assert_eq!(report.total.peer_bytes(), demand / 2);
+    assert_eq!(
+        report.total.peer_bytes_by_layer[0],
+        demand / 2,
+        "all at ExP"
+    );
+    // User 1 downloaded from peers; user 0 uploaded everything.
+    assert_eq!(report.users[0].uploaded_bytes, demand / 2);
+    assert_eq!(report.users[1].uploaded_bytes, 0);
+    report.check_conservation().unwrap();
+}
+
+#[test]
+fn partial_overlap_shares_partially() {
+    let trace = pair_trace(300); // half overlap
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    let peer = report.total.peer_bytes();
+    assert!(peer > 0);
+    assert!(peer < report.total.demand_bytes / 2);
+    report.check_conservation().unwrap();
+}
+
+#[test]
+fn upload_ratio_caps_offload() {
+    let trace = pair_trace(0);
+    let full = Simulator::new(SimConfig::with_ratio(1.0)).simulate(&trace);
+    let half = Simulator::new(SimConfig::with_ratio(0.5)).simulate(&trace);
+    assert!((half.total.offload_share() / full.total.offload_share() - 0.5).abs() < 0.01);
+}
+
+#[test]
+fn conservation_on_generated_trace() {
+    let trace = tiny_trace();
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    report.check_conservation().unwrap();
+    assert!(report.total.demand_bytes > 0);
+    let s = report.total_savings(&EnergyParams::valancius()).unwrap();
+    assert!((0.0..1.0).contains(&s), "savings {s}");
+}
+
+#[test]
+fn store_source_matches_trace_source() {
+    let trace = tiny_trace();
+    let store = SessionStore::from_trace(&trace);
+    for matcher in [MatcherKind::Hierarchical, MatcherKind::Random] {
+        let cfg = SimConfig {
+            matcher,
+            ..Default::default()
+        };
+        let sim = Simulator::new(cfg);
+        assert_eq!(
+            sim.simulate(&trace),
+            sim.simulate(&store),
+            "{matcher:?}: prebuilt store must replay identically"
+        );
+    }
+}
+
+/// Checks [`cost_chunks`]' contract on one cost vector.
+fn check_cost_chunks(costs: &[u64], workers: usize) {
+    let offsets = cost_chunks(costs, workers);
+    let total: u64 = costs.iter().sum();
+    let case = format!("{} states, {workers} workers", costs.len());
+    if total == 0 {
+        assert!(offsets.is_empty(), "{case}: zero cost must not fan out");
+        return;
+    }
+    assert_eq!(offsets.first(), Some(&0), "{case}");
+    assert_eq!(offsets.last(), Some(&costs.len()), "{case}");
+    assert!(
+        offsets.windows(2).all(|w| w[0] < w[1]),
+        "{case}: offsets must ascend"
+    );
+    let max_chunks = workers as u64 * CHUNKS_PER_WORKER;
+    assert!(
+        offsets.len() as u64 - 1 <= max_chunks,
+        "{case}: too many chunks"
+    );
+    let target = total.div_ceil(max_chunks);
+    for w in offsets.windows(2) {
+        let chunk = &costs[w[0]..w[1]];
+        let heaviest = *chunk.iter().max().expect("chunks are non-empty");
+        assert!(
+            chunk.iter().sum::<u64>() <= target + heaviest,
+            "{case}: chunk {w:?} overshoots the target {target}"
+        );
+    }
+}
+
+#[test]
+fn cost_chunks_cover_every_state_within_the_bound() {
+    // Zipf-shaped costs with a quiescent tail, the shape a daily push
+    // sees; flat, sparse, single and empty vectors; and a
+    // pseudo-random mix with many zero-cost states.
+    let zipf: Vec<u64> = (1..=400u64).map(|rank| 90_000 / rank).collect();
+    let mut quiet_tail = zipf.clone();
+    quiet_tail.extend([0; 300]);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mixed: Vec<u64> = (0..777)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x % 3 == 0 {
+                0
+            } else {
+                x % 1_000
+            }
+        })
+        .collect();
+    let cases = [
+        Vec::new(),
+        vec![0; 9],
+        vec![7],
+        vec![0, 0, 5, 0, 0],
+        vec![1; 1_000],
+        zipf,
+        quiet_tail,
+        mixed,
+    ];
+    for costs in &cases {
+        for workers in [1, 2, 3, 8, 64] {
+            check_cost_chunks(costs, workers);
+        }
+    }
+}
+
+#[test]
+fn cost_chunks_give_head_swarms_chunks_of_their_own() {
+    // Two head swarms above the 2-worker target (1/16 of the total)
+    // each close a chunk alone, ahead of the tail.
+    let mut costs = vec![5_000, 2_000];
+    costs.extend([10; 300]);
+    // (16 chunks of equal count would have put both heads and 17 tail
+    // swarms in the first one: 72 % of the work on one thread.)
+    let offsets = cost_chunks(&costs, 2);
+    assert_eq!(offsets[..3], [0, 1, 2]);
+    check_cost_chunks(&costs, 2);
+}
+
+/// The grouping's packed sort against a plain map from key to the
+/// start-ordered store indices, under every swarm policy preset. Extreme
+/// content and ISP ids fill the packed key's fields to the top.
+#[test]
+fn grouping_equals_a_btreemap_under_every_policy() {
+    let trace = tiny_trace();
+    let mut records = trace.sessions().to_vec();
+    for (i, (content, isp)) in [(u32::MAX, u8::MAX), (u32::MAX, 0), (0, u8::MAX)]
+        .into_iter()
+        .enumerate()
+    {
+        records.push(SessionRecord {
+            content: ContentId(content),
+            isp: IspId(isp),
+            ..records[i * 7]
+        });
+    }
+    let store =
+        SessionStore::from_records(&records, trace.horizon_seconds(), trace.population().len());
+    for policy in [
+        SwarmPolicy::paper_default(),
+        SwarmPolicy::cross_isp(),
+        SwarmPolicy::mixed_bitrate(),
+        SwarmPolicy::content_only(),
+    ] {
+        let mut expected: BTreeMap<SwarmKey, Vec<u32>> = BTreeMap::new();
+        for i in 0..store.len() {
+            let key = policy.key_parts(
+                ContentId(store.content()[i]),
+                store.isp()[i],
+                store.bitrate_class(i),
+            );
+            expected.entry(key).or_default().push(i as u32);
+        }
+        let config = SimConfig {
+            policy,
+            ..Default::default()
+        };
+        let (indices, groups) = group_by_swarm(&config, &store);
+        let grouped: Vec<(SwarmKey, Vec<u32>)> = groups
+            .into_iter()
+            .map(|(key, range)| (key, indices[range].to_vec()))
+            .collect();
+        assert_eq!(
+            grouped,
+            expected.into_iter().collect::<Vec<_>>(),
+            "{policy:?}"
+        );
+    }
+}
+
+/// Checks a run's machine index against a walk over every machine: the
+/// index lists each machine once under its key, the live list is
+/// exactly the machines holding active or carried sessions, and the
+/// touched list matches the flags and holds every machine with
+/// unspilled days or a quiescent machine's built matcher.
+fn check_machine_index(run: &SegmentedRun) {
+    assert_eq!(run.index.len(), run.states.len());
+    for (key, &slot) in &run.index {
+        assert_eq!(run.states[slot as usize].key, *key);
+    }
+    let live: Vec<u32> = (0..)
+        .zip(&run.states)
+        .filter(|(_, state)| !state.swarm.is_quiescent())
+        .map(|(slot, _)| slot)
+        .collect();
+    assert_eq!(run.live, live, "live list at {}", run.watermark);
+    let mut listed = vec![false; run.states.len()];
+    for &slot in &run.touched {
+        assert!(!listed[slot as usize], "slot {slot} touched twice");
+        listed[slot as usize] = true;
+    }
+    for (state, listed) in run.states.iter().zip(listed) {
+        assert_eq!(state.touched, listed);
+        let warm =
+            state.swarm.is_quiescent() && matches!(state.swarm.matcher, MatcherSlot::Live(_));
+        assert!(listed || (state.swarm.daily.is_empty() && !warm));
+    }
+}
+
+/// Machines that fall quiescent mid-day stay warm until the next push
+/// that seals a day, which freezes every one of them: after each seal
+/// of a 15-minute schedule no quiescent machine holds a built matcher.
+#[test]
+fn day_seals_freeze_every_quiescent_machine() {
+    let store = SessionStore::from_trace(&tiny_trace());
+    for threads in [1, 2] {
+        let sim = Simulator::new(SimConfig {
+            threads,
+            ..Default::default()
+        });
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        let (mut seals, mut warm) = (0, 0);
+        for (batch, watermark) in batch_schedule(&store, 900) {
+            let spilled = run.spilled_days;
+            run.push_batch(&batch, watermark);
+            check_machine_index(&run);
+            let quiescent_warm = run
+                .states
+                .iter()
+                .filter(|s| {
+                    s.swarm.is_quiescent() && matches!(s.swarm.matcher, MatcherSlot::Live(_))
+                })
+                .count();
+            if run.spilled_days > spilled {
+                seals += 1;
+                assert_eq!(quiescent_warm, 0, "warm quiescent machines at {watermark}");
+            } else {
+                warm += quiescent_warm;
+            }
+        }
+        assert_eq!(seals, store.horizon_secs().div_ceil(SECS_PER_DAY));
+        assert!(warm > 0, "no machine stayed warm between seals");
+        assert_eq!(run.finish(), sim.simulate(&store));
+    }
+}
+
+#[test]
+#[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
+fn push_batch_rejects_sessions_past_the_watermark() {
+    let trace = pair_trace(100);
+    let store = SessionStore::from_trace(&trace);
+    let sim = Simulator::new(SimConfig::default());
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    // The second session starts at 100 s, past this watermark.
+    run.push_batch(&store, 50);
+}
+
+#[test]
+#[should_panic(expected = "batch user id 7 is outside the population of 2 users")]
+fn push_batch_rejects_users_outside_the_population() {
+    let mut records = pair_trace(0).sessions().to_vec();
+    records[1].user = UserId(7);
+    let store = SessionStore::from_records(&records, 86_400, 2);
+    let _ = Simulator::new(SimConfig::default()).simulate(&store);
+}
+
+#[test]
+fn deterministic_across_thread_counts() {
+    let trace = tiny_trace();
+    let c1 = SimConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let c4 = SimConfig {
+        threads: 4,
+        ..Default::default()
+    };
+    let r1 = Simulator::new(c1).simulate(&trace);
+    let r4 = Simulator::new(c4).simulate(&trace);
+    assert_eq!(r1, r4);
+}
+
+#[test]
+fn random_matcher_deterministic_and_no_better_locality() {
+    let trace = tiny_trace();
+    let cfg = SimConfig {
+        matcher: MatcherKind::Random,
+        ..Default::default()
+    };
+    let a = Simulator::new(cfg.clone()).simulate(&trace);
+    let b = Simulator::new(cfg).simulate(&trace);
+    assert_eq!(a, b, "random matcher must be seed-deterministic");
+    let hier = Simulator::new(SimConfig::default()).simulate(&trace);
+    assert_eq!(hier.total.peer_bytes(), a.total.peer_bytes());
+    assert!(
+        hier.total.peer_bytes_by_layer[0] >= a.total.peer_bytes_by_layer[0],
+        "hierarchical keeps at least as many bytes exchange-local"
+    );
+    // And that translates into at least as much energy saved.
+    let p = EnergyParams::valancius();
+    assert!(hier.total_savings(&p).unwrap() >= a.total_savings(&p).unwrap());
+}
+
+#[test]
+fn capacity_measures_watch_time() {
+    let trace = pair_trace(0);
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    let swarm = &report.swarms[0];
+    // Time-averaged capacity: two 600 s sessions over the horizon.
+    let expected = 2.0 * 600.0 / trace.horizon_seconds() as f64;
+    assert!(
+        (swarm.time_avg_capacity / expected - 1.0).abs() < 0.02,
+        "time-avg capacity {} vs expected {expected}",
+        swarm.time_avg_capacity
+    );
+    // Effective capacity: while active, occupancy is exactly 2, and
+    // L̄ = 2 inverts to c ≈ 1.594.
+    assert!(
+        (swarm.capacity - 1.594).abs() < 0.01,
+        "effective capacity {}",
+        swarm.capacity
+    );
+}
+
+#[test]
+fn daily_cells_cover_active_days_only() {
+    let trace = pair_trace(0); // both sessions on day 0
+    let report = Simulator::new(SimConfig::default()).simulate(&trace);
+    assert_eq!(report.daily.len(), 1);
+    assert_eq!(report.daily[0].day, 0);
+    assert_eq!(report.daily[0].isp, Some(IspId(0)));
+}
+
+#[test]
+#[should_panic(expected = "invalid simulator config")]
+fn rejects_invalid_config() {
+    let _ = Simulator::new(SimConfig {
+        window_secs: 0,
+        ..Default::default()
+    });
+}
+
+#[test]
+fn preloading_reduces_sharing_but_conserves() {
+    let trace = pair_trace(0);
+    let cfg = SimConfig {
+        preload_fraction: 0.4,
+        ..Default::default()
+    };
+    let preloaded = Simulator::new(cfg).simulate(&trace);
+    preloaded.check_conservation().unwrap();
+    let baseline = Simulator::new(SimConfig::default()).simulate(&trace);
+    // Same demand, less of it peer-shareable.
+    assert_eq!(preloaded.total.demand_bytes, baseline.total.demand_bytes);
+    assert!(preloaded.total.preload_bytes > 0);
+    assert!(
+        (preloaded.total.preload_bytes as f64 / preloaded.total.demand_bytes as f64 - 0.4).abs()
+            < 0.01
+    );
+    assert!(preloaded.total.offload_share() < baseline.total.offload_share());
+    // And therefore lower savings: preloading fights peer assistance.
+    let p = EnergyParams::valancius();
+    assert!(preloaded.total_savings(&p).unwrap() < baseline.total_savings(&p).unwrap());
+}
+
+#[test]
+fn edge_cache_serves_head_items_locally() {
+    let trace = pair_trace(100_000); // no overlap: all bytes are fallback
+    let cfg = SimConfig {
+        edge_cache: Some(crate::config::EdgeCache { top_items: 1 }),
+        ..Default::default()
+    };
+    let cached = Simulator::new(cfg).simulate(&trace);
+    cached.check_conservation().unwrap();
+    // The pair trace watches item 0, which is cached: every byte served
+    // from the exchange cache, none from the CDN.
+    assert_eq!(cached.total.server_bytes, 0);
+    assert_eq!(cached.total.cache_bytes, cached.total.demand_bytes);
+    // Cache delivery skips the CDN network leg, saving energy even with
+    // zero peer sharing.
+    let p = EnergyParams::valancius();
+    let s = cached.total_savings(&p).unwrap();
+    assert!(s > 0.3, "cache-only savings {s}");
+    // Uncached tail item would not benefit: compare against no cache.
+    let plain = Simulator::new(SimConfig::default()).simulate(&trace);
+    assert_eq!(plain.total.cache_bytes, 0);
+    assert_eq!(plain.total_savings(&p), Some(0.0));
+}
+
+#[test]
+fn partial_participation_cuts_offload() {
+    let trace = tiny_trace();
+    let full = Simulator::new(SimConfig::default()).simulate(&trace);
+    let partial = Simulator::new(SimConfig {
+        participation_rate: 0.3,
+        ..Default::default()
+    })
+    .simulate(&trace);
+    partial.check_conservation().unwrap();
+    assert!(
+        partial.total.offload_share() < full.total.offload_share(),
+        "30% participation must offload less: {} vs {}",
+        partial.total.offload_share(),
+        full.total.offload_share()
+    );
+    // Non-participants never upload.
+    let mut non_participants_uploading = 0;
+    for (uid, t) in partial.active_users() {
+        if !super::participates(uid, 0.3) {
+            assert_eq!(t.uploaded_bytes, 0, "user {uid} must not upload");
+            non_participants_uploading += 1;
+        }
+    }
+    assert!(
+        non_participants_uploading > 0,
+        "test must cover non-participants"
+    );
+    // Deterministic membership: same result twice.
+    let again = Simulator::new(SimConfig {
+        participation_rate: 0.3,
+        ..Default::default()
+    })
+    .simulate(&trace);
+    assert_eq!(partial, again);
+}
+
+#[test]
+fn participation_is_monotone() {
+    let trace = tiny_trace();
+    let offload_at = |rate: f64| {
+        Simulator::new(SimConfig {
+            participation_rate: rate,
+            ..Default::default()
+        })
+        .simulate(&trace)
+        .total
+        .offload_share()
+    };
+    let lo = offload_at(0.2);
+    let mid = offload_at(0.6);
+    let hi = offload_at(1.0);
+    assert!(
+        lo < mid && mid < hi,
+        "offload must grow with participation: {lo} {mid} {hi}"
+    );
+}
+
+#[test]
+fn soa_active_set_matches_row_reference_on_generated_trace() {
+    // The columnar window loop against the retained row-based oracle on
+    // a real generated trace, across matchers and the config knobs that
+    // feed the active set (preload, participation, cache).
+    let trace = tiny_trace();
+    let store = SessionStore::from_trace(&trace);
+    let configs = [
+        SimConfig::default(),
+        SimConfig {
+            matcher: MatcherKind::Random,
+            ..Default::default()
+        },
+        SimConfig {
+            preload_fraction: 0.3,
+            participation_rate: 0.5,
+            edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
+            window_secs: 30,
+            ..Default::default()
+        },
+        SimConfig {
+            cooperation_rate: 0.5,
+            ..Default::default()
+        },
+    ];
+    for cfg in configs {
+        let sim = Simulator::new(cfg);
+        assert_eq!(sim.simulate(&store), sim.run_store_rows(&store));
+    }
+}
+
+mod soa_properties {
+    use super::*;
+    use consume_local_topology::IspTopology;
+    use proptest::prelude::*;
+
+    /// Random session records over a tiny world: 40 users across 2
+    /// ISPs / 8 exchanges, 6 items, a 2-day horizon, devices drawn from
+    /// the real mix. Small enough that swarms overlap heavily, large
+    /// enough to exercise admit/retire churn and the idle-gap jump.
+    /// Starts run 2 h past the horizon, so both paths meet sessions
+    /// they must leave out.
+    fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+        let record = (
+            0u32..40,                 // user
+            0u32..6,                  // content
+            0u64..2 * 86_400 + 7_200, // start
+            60u32..5_000,             // duration
+            0usize..5,                // device (MIX index)
+            0u8..2,                   // isp
+            0u32..8,                  // exchange
+        )
+            .prop_map(|(user, content, start, duration, device, isp, exchange)| {
+                let topo = IspTopology::new(8, 2).unwrap();
+                SessionRecord {
+                    user: UserId(user),
+                    content: ContentId(content),
+                    start: SimTime(start),
+                    duration_secs: duration,
+                    device: DeviceClass::MIX[device].0,
+                    isp: IspId(isp),
+                    location: topo.location_of(ExchangeId(exchange)),
+                }
+            });
+        proptest::collection::vec(record, 1..60)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_soa_and_row_paths_agree(
+            records in records_strategy(),
+            matcher_pick in 0u8..2,
+            window_secs in 5u64..600,
+            participation_pct in 30u64..=100,
+            cooperation_pct in 40u64..=100,
+        ) {
+            let store = SessionStore::from_records(&records, 2 * 86_400, 40);
+            let cfg = SimConfig {
+                matcher: if matcher_pick == 1 {
+                    MatcherKind::Random
+                } else {
+                    MatcherKind::Hierarchical
+                },
+                window_secs,
+                participation_rate: participation_pct as f64 / 100.0,
+                cooperation_rate: cooperation_pct as f64 / 100.0,
+                ..Default::default()
+            };
+            let sim = Simulator::new(cfg);
+            let soa = sim.simulate(&store);
+            let rows = sim.run_store_rows(&store);
+            prop_assert_eq!(soa, rows);
+        }
+
+        /// Replayed membership runs against the row oracle, which
+        /// matches every window: long sessions on a world of 2 items
+        /// and 4 exchanges give multi-peer runs that span many upload
+        /// rotation cycles and cross midnight, and a random batch
+        /// schedule pauses runs mid-cycle. Partial participation and
+        /// unsplit swarms (mixed ISPs and bitrates) make the cycle's
+        /// window ledgers differ by rotation, not only its uploads. At
+        /// a random batch boundary the run is checkpointed and resumed
+        /// from the snapshot, so the per-user rows the oracle keeps by
+        /// itself also pin the snapshot's per-session and per-user
+        /// bytes. The oracle's report does not depend on the thread
+        /// count, so each cooperation rate computes it once.
+        #[test]
+        fn prop_replayed_runs_match_row_oracle_under_any_batch_schedule(
+            records in long_sessions_strategy(),
+            cuts in proptest::collection::vec(0u64..LONG_HORIZON, 0..8),
+            resume_pick in 0usize..9,
+            window_secs in 10u64..120,
+            cooperation_pct in 50u64..100,
+            participation_pct in 30u64..=100,
+            matcher_pick in 0u8..2,
+            split in 0u8..2,
+        ) {
+            let store = SessionStore::from_records(&records, LONG_HORIZON, 12);
+            let mut watermarks = cuts;
+            watermarks.sort_unstable();
+            watermarks.push(LONG_HORIZON);
+            let resume_at = resume_pick % watermarks.len();
+            for cooperation_rate in [1.0, cooperation_pct as f64 / 100.0] {
+                let config = |threads| SimConfig {
+                    matcher: if matcher_pick == 1 {
+                        MatcherKind::Random
+                    } else {
+                        MatcherKind::Hierarchical
+                    },
+                    window_secs,
+                    cooperation_rate,
+                    participation_rate: participation_pct as f64 / 100.0,
+                    policy: SwarmPolicy {
+                        split_by_isp: split == 1,
+                        split_by_bitrate: split == 1,
+                    },
+                    threads,
+                    ..Default::default()
+                };
+                let oracle = Simulator::new(config(1)).run_store_rows(&store);
+                for threads in [1, 2] {
+                    let sim = Simulator::new(config(threads));
+                    let mut run = sim.begin(LONG_HORIZON, 12);
+                    let mut from = 0;
+                    for (i, &watermark) in watermarks.iter().enumerate() {
+                        if i == resume_at {
+                            let mut snapshot = Vec::new();
+                            run.checkpoint(&mut snapshot).unwrap();
+                            run = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+                        }
+                        let batch: Vec<SessionRecord> = records
+                            .iter()
+                            .filter(|r| (from..watermark).contains(&r.start.as_secs()))
+                            .copied()
+                            .collect();
+                        run.push_batch(
+                            &SessionStore::from_records(&batch, LONG_HORIZON, 12),
+                            watermark,
+                        );
+                        from = watermark;
+                    }
+                    prop_assert_eq!(&run.finish(), &oracle);
+                }
+            }
+        }
+    }
+
+    /// Horizon of [`long_sessions_strategy`]: 3 days, so a session
+    /// starting late on day 2 still fits a whole day.
+    const LONG_HORIZON: u64 = 3 * 86_400;
+
+    /// Long sessions (1 h to 1 day) by 12 users on 2 items, across 2
+    /// ISPs and 4 exchanges in 2 PoPs: swarms hold several peers for
+    /// hours at a stretch.
+    fn long_sessions_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+        let record = (
+            0u32..12,          // user
+            0u32..2,           // content
+            0u64..2 * 86_400,  // start
+            3_600u32..=86_400, // duration
+            0usize..5,         // device (MIX index)
+            0u8..2,            // isp
+            0u32..4,           // exchange
+        )
+            .prop_map(|(user, content, start, duration, device, isp, exchange)| {
+                let topo = IspTopology::new(4, 2).unwrap();
+                SessionRecord {
+                    user: UserId(user),
+                    content: ContentId(content),
+                    start: SimTime(start),
+                    duration_secs: duration,
+                    device: DeviceClass::MIX[device].0,
+                    isp: IspId(isp),
+                    location: topo.location_of(ExchangeId(exchange)),
+                }
+            });
+        proptest::collection::vec(record, 1..20)
+    }
+}
+
+#[test]
+fn segmented_source_matches_monolithic_store() {
+    let trace = tiny_trace();
+    let mono = SessionStore::from_trace(&trace);
+    // Window lengths that divide a day, don't divide a day, and exceed
+    // a day — the segment-boundary pause/carry logic must be invisible
+    // in all three regimes, across matchers and the active-set knobs.
+    let configs = [
+        SimConfig::default(),
+        SimConfig {
+            matcher: MatcherKind::Random,
+            window_secs: 7,
+            ..Default::default()
+        },
+        SimConfig {
+            preload_fraction: 0.3,
+            participation_rate: 0.5,
+            edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
+            window_secs: 30,
+            ..Default::default()
+        },
+        SimConfig {
+            window_secs: 100_000, // > one segment: windows straddle days
+            ..Default::default()
+        },
+        SimConfig {
+            cooperation_rate: 0.6,
+            ..Default::default()
+        },
+    ];
+    for cfg in configs {
+        let sim = Simulator::new(cfg.clone());
+        assert_eq!(
+            simulate_by_day(&sim, &mono),
+            sim.simulate(&mono),
+            "window_secs={}",
+            cfg.window_secs
+        );
+    }
+}
+
+#[test]
+fn defection_degrades_offload_but_conserves_bytes() {
+    let trace = tiny_trace();
+    let run = |cooperation: f64| {
+        Simulator::new(SimConfig {
+            cooperation_rate: cooperation,
+            ..Default::default()
+        })
+        .simulate(&trace)
+    };
+    let clean = run(1.0);
+    assert_eq!(
+        clean.degradation,
+        Degradation::default(),
+        "full cooperation must record zero degradation"
+    );
+    let faulty = run(0.5);
+    faulty.check_conservation().expect("defection conserves");
+    let d = faulty.degradation;
+    assert!(d.failed_transfer_bytes > 0, "defections must occur");
+    assert_eq!(
+        d.failed_by_layer.iter().sum::<u64>(),
+        d.failed_transfer_bytes
+    );
+    assert!(d.defection_windows > 0);
+    assert!(
+        d.failed_demand_bytes > 0,
+        "flaking receivers must abandon some window demand to the fallback"
+    );
+    assert!(faulty.offload_loss().unwrap() > 0.0);
+    // Same sessions, same demand — only the byte routing changed.
+    assert_eq!(faulty.total.demand_bytes, clean.total.demand_bytes);
+    assert!(
+        faulty.total.peer_bytes() < clean.total.peer_bytes(),
+        "defection must reduce peer-served volume"
+    );
+    assert!(
+        faulty.total.server_bytes > clean.total.server_bytes,
+        "failed transfers fall back to the CDN"
+    );
+    // Upload credits shrink with the failed volume: defectors earn
+    // nothing for bytes they never delivered.
+    let credited: u64 = faulty.users.iter().map(|u| u.uploaded_bytes).sum();
+    let clean_credited: u64 = clean.users.iter().map(|u| u.uploaded_bytes).sum();
+    assert!(credited < clean_credited);
+}
+
+#[test]
+fn trace_stream_matches_monolithic_run() {
+    let config = consume_local_trace::TraceConfig::london_sep2013()
+        .scaled(0.0003)
+        .unwrap();
+    let generator = TraceGenerator::new(config, 11);
+    let sim = Simulator::new(SimConfig::default());
+    let monolithic = sim.simulate(&generator.generate().unwrap());
+    let mut stream = generator.segments().unwrap();
+    let streamed = sim.simulate(&mut stream);
+    assert_eq!(streamed, monolithic);
+}
+
+#[test]
+fn segmented_run_finish_drains_partial_pushes() {
+    // Feeding only day 0 of a multi-day trace must still replay every
+    // admitted session to completion: finish() drains the machines.
+    let trace = pair_trace(0); // both sessions on day 0
+    let store = SessionStore::from_trace(&trace);
+    let sim = Simulator::new(SimConfig::default());
+    let (day0, watermark) = &batch_schedule(&store, SECS_PER_DAY)[0];
+    assert_eq!(day0.len(), store.len());
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    run.push_batch(day0, *watermark);
+    assert_eq!(run.finish(), sim.simulate(&trace));
+}
+
+#[test]
+fn segmented_run_deterministic_across_thread_counts() {
+    let store = SessionStore::from_trace(&tiny_trace());
+    let run_with = |threads: usize| {
+        let sim = Simulator::new(SimConfig {
+            threads,
+            ..Default::default()
+        });
+        simulate_by_day(&sim, &store)
+    };
+    let reference = run_with(1);
+    assert_eq!(reference, run_with(2));
+    assert_eq!(reference, run_with(8));
+}
+
+#[test]
+fn cache_and_preload_compose() {
+    let trace = pair_trace(0);
+    let cfg = SimConfig {
+        preload_fraction: 0.3,
+        edge_cache: Some(crate::config::EdgeCache { top_items: 1 }),
+        ..Default::default()
+    };
+    let report = Simulator::new(cfg).simulate(&trace);
+    report.check_conservation().unwrap();
+    // Preloaded bytes of cached items are served from the cache.
+    assert_eq!(report.total.preload_bytes, 0);
+    assert!(report.total.cache_bytes > 0);
+    assert!(report.total.peer_bytes() > 0);
+}
+
+#[test]
+fn sort_key_fallback_surfaces_as_report_warning() {
+    let trace = tiny_trace();
+    let sim = Simulator::new(SimConfig::default());
+    assert!(
+        sim.simulate(&trace).warnings.is_empty(),
+        "London presets fit the packed sort key"
+    );
+
+    // A session at an old single-field bound no longer warns: the
+    // dynamic layout absorbs it.
+    let mut records = trace.sessions().to_vec();
+    let mut at_old_bound = records[0];
+    at_old_bound.content = ContentId(1 << 15);
+    records.push(at_old_bound);
+    let horizon = trace.horizon_seconds();
+    let users = trace.population().len();
+    let absorbed = SessionStore::from_records(&records, horizon, users);
+    assert!(
+        sim.simulate(&absorbed).warnings.is_empty(),
+        "single old-bound exceedance must stay on the fast path"
+    );
+
+    // Jointly pathological maxima trip the warning, which carries the
+    // measured maxima and is identical on every path. The user id
+    // stays inside the population (the engine rejects any other), so
+    // the overflow is start + user + content: 22 + 11 + 32 bits.
+    let mut wide = records[0];
+    wide.start = SimTime(horizon - 1);
+    wide.user = UserId(users as u32 - 1);
+    wide.content = ContentId(u32::MAX);
+    records.push(wide);
+    let doctored = SessionStore::from_records(&records, horizon, users);
+    let report = sim.simulate(&doctored);
+    let (max_start_secs, max_user, max_content) = doctored.sort_key_maxima();
+    assert!(consume_local_trace::generator::sort_key_fallback_required(
+        (max_start_secs, max_user, max_content)
+    ));
+    assert_eq!(
+        report.warnings,
+        vec![SimWarning::SortKeyFallback {
+            max_start_secs,
+            max_user,
+            max_content
+        }]
+    );
+    assert_eq!(
+        simulate_by_day(&sim, &doctored),
+        report,
+        "warnings are batch-schedule invariant"
+    );
+}
+
+/// `store` replayed through one run as one batch per day, each
+/// watermarked at its day's end (the online producer's daily tick).
+fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    for (batch, watermark) in batch_schedule(store, SECS_PER_DAY) {
+        run.push_batch(&batch, watermark);
+    }
+    run.finish()
+}
+
+/// A snapshot taken mid-run must restore into a run that finishes
+/// byte-identically to both the donor and the uninterrupted reference,
+/// across configs that exercise every codec branch: hierarchical and
+/// random matchers, ISP/bitrate splits, edge cache + preload, and
+/// non-trivial defection rates.
+#[test]
+fn checkpoint_roundtrip_resumes_byte_identically() {
+    let store = SessionStore::from_trace(&tiny_trace());
+    let days = batch_schedule(&store, SECS_PER_DAY);
+    let configs = [
+        SimConfig::default(),
+        SimConfig {
+            matcher: MatcherKind::Random,
+            seed: 9,
+            upload: crate::config::UploadModel::AbsoluteBps(600_000),
+            ..Default::default()
+        },
+        SimConfig {
+            preload_fraction: 0.25,
+            edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
+            participation_rate: 0.8,
+            cooperation_rate: 0.9,
+            ..Default::default()
+        },
+    ];
+    for config in configs {
+        let sim = Simulator::new(config);
+        let expect = sim.simulate(&store);
+        let cut = days.len() / 2;
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        for (batch, watermark) in &days[..cut] {
+            run.push_batch(batch, *watermark);
+        }
+        let mut snapshot = Vec::new();
+        run.checkpoint(&mut snapshot).unwrap();
+        let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(resumed.watermark(), run.watermark());
+        for (batch, watermark) in &days[cut..] {
+            run.push_batch(batch, *watermark);
+            resumed.push_batch(batch, *watermark);
+        }
+        assert_eq!(resumed.finish(), expect, "resumed run diverged");
+        assert_eq!(
+            run.finish(),
+            expect,
+            "checkpoint() must not perturb the donor"
+        );
+    }
+}
+
+/// Snapshots are not day-aligned: a checkpoint cut at a mid-day
+/// watermark (live swarms, carried sessions, partially accumulated
+/// daily ledgers) must still resume byte-identically.
+#[test]
+fn checkpoint_at_mid_day_watermark_roundtrips() {
+    let trace = tiny_trace();
+    let store = SessionStore::from_trace(&trace);
+    let sim = Simulator::new(SimConfig::default());
+    let expect = sim.simulate(&store);
+    // 9 000 s ticks never land on a day boundary (86 400 % 9 000 != 0).
+    let schedule = crate::online::faults::batch_schedule(&store, 9_000);
+    let cut = 11; // mid day 1
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    for (batch, watermark) in &schedule[..cut] {
+        run.push_batch(batch, *watermark);
+    }
+    let mut snapshot = Vec::new();
+    run.checkpoint(&mut snapshot).unwrap();
+    drop(run); // the crash
+    let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+    assert_eq!(resumed.watermark(), schedule[cut - 1].1);
+    for (batch, watermark) in &schedule[cut..] {
+        resumed.push_batch(batch, *watermark);
+    }
+    assert_eq!(resumed.finish(), expect);
+}
+
+/// The snapshot carries the full engine configuration: restoring on a
+/// host with a different default thread count must not change results,
+/// and the restored run keeps the donor's matcher and seed.
+#[test]
+fn snapshot_carries_the_configuration() {
+    let store = SessionStore::from_trace(&tiny_trace());
+    let days = batch_schedule(&store, SECS_PER_DAY);
+    let config = SimConfig {
+        matcher: MatcherKind::Random,
+        seed: 77,
+        threads: 2,
+        ..Default::default()
+    };
+    let sim = Simulator::new(config);
+    let expect = sim.simulate(&store);
+    let mut run = sim.begin(store.horizon_secs(), store.population_len());
+    for (batch, watermark) in &days[..3] {
+        run.push_batch(batch, *watermark);
+    }
+    let mut snapshot = Vec::new();
+    run.checkpoint(&mut snapshot).unwrap();
+    let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+    for (batch, watermark) in &days[3..] {
+        resumed.push_batch(batch, *watermark);
+    }
+    assert_eq!(resumed.finish(), expect);
+}

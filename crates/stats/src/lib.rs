@@ -10,8 +10,7 @@
 //!   [`dist::Categorical`].
 //! * [`edf`] — empirical distribution functions (CDF/CCDF/quantiles), used to
 //!   reproduce the distribution figures of the paper (Figs. 3 and 6).
-//! * [`histogram`] — linear- and log-bucketed histograms.
-//! * [`summary`] — streaming (Welford) and batch summary statistics.
+//! * [`summary`] — batch summary statistics (mean, spread, quartiles).
 //! * [`grid`] — linear and logarithmic sweep grids for parameter sweeps.
 //! * [`rng`] — a deterministic seed-derivation helper so that independent
 //!   simulation components get independent, reproducible RNG streams.
@@ -40,13 +39,11 @@
 pub mod dist;
 pub mod edf;
 pub mod grid;
-pub mod histogram;
 pub mod par;
 pub mod rng;
 pub mod summary;
 
 pub use dist::{DistError, Distribution};
 pub use edf::Edf;
-pub use histogram::Histogram;
 pub use rng::SeedDerive;
-pub use summary::{OnlineStats, Summary};
+pub use summary::Summary;

@@ -6,13 +6,11 @@
 //!
 //! ```text
 //! cargo run --release --example sweep -- \
-//!     grid=ablations preset=small seed=42 workers=8 trace-workers=8 \
-//!     out=target/sweep.json
+//!     grid=quick seed=42 workers=8 trace-workers=8 out=target/sweep.json
 //! ```
 //!
 //! Arguments (all optional, `key=value`):
-//! * `grid`    — `point` (default), `quick`, or `ablations`;
-//! * `preset`  — scale for `ablations`: `smoke`, `small`, `medium`, `large`;
+//! * `grid`    — `point` (default) or `quick`;
 //! * `seed`    — master seed (default 42);
 //! * `workers` — sweep worker threads (default: available cores, max 16);
 //! * `trace-workers` — threads inside each trace generation (default:
@@ -28,18 +26,9 @@ fn arg(args: &[String], key: &str) -> Option<String> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let preset = match arg(&args, "preset").as_deref() {
-        None | Some("smoke") => ScalePreset::Smoke,
-        Some("small") => ScalePreset::Small,
-        Some("medium") => ScalePreset::Medium,
-        Some("large") => ScalePreset::Large,
-        Some("full") => ScalePreset::Full,
-        Some(other) => return Err(format!("unknown preset `{other}`").into()),
-    };
     let grid = match arg(&args, "grid").as_deref() {
         None | Some("point") => SweepGrid::paper_point(),
         Some("quick") => SweepGrid::ci_quick(),
-        Some("ablations") => SweepGrid::ablations(preset),
         Some(other) => return Err(format!("unknown grid `{other}`").into()),
     };
     let mut config = SweepConfig {
