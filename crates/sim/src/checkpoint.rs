@@ -68,8 +68,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CLSNAP\r\n";
 /// the run's per-user totals (one row per user of the population, in user
 /// id order, right after the population length) replace every swarm's
 /// user list, and the active-set columns carry each session's user id,
-/// watched and uploaded bytes instead of a slot into that list.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// watched and uploaded bytes instead of a slot into that list. Version 5
+/// writes a frozen day as the report's point: its day, its demand bytes
+/// and its capacity's `f64` bits (20 bytes instead of 28), so a restore
+/// inverts no capacity.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Sanity bound on the declared payload length (1 GiB). A corrupted header
 /// cannot make the reader allocate unbounded memory: real snapshots are
@@ -671,17 +674,21 @@ mod tests {
         ));
     }
 
+    /// A future version and the previous one are both rejected from the
+    /// header alone.
     #[test]
     fn rejects_future_version() {
-        let mut bytes = sample_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::from_reader(&mut &bytes[..]),
-            Err(CheckpointError::UnsupportedVersion {
-                found: 99,
-                supported: SNAPSHOT_VERSION
-            })
-        ));
+        for version in [99, SNAPSHOT_VERSION - 1] {
+            let mut bytes = sample_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                SnapshotReader::from_reader(&mut &bytes[..]),
+                Err(CheckpointError::UnsupportedVersion {
+                    found,
+                    supported: SNAPSHOT_VERSION
+                }) if found == version
+            ));
+        }
     }
 
     #[test]

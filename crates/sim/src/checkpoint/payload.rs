@@ -6,6 +6,10 @@
 //! (magic, version, digest) lives in [`crate::checkpoint`]. Bumping
 //! [`SNAPSHOT_VERSION`](super::SNAPSHOT_VERSION) is required for any layout
 //! change here.
+//!
+//! Each sequence element's smallest encoded size is named beside its
+//! `put_*`, and bounds the element count by the payload bytes left
+//! ([`SnapshotReader::take_len_of`]) before anything is reserved for it.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -17,10 +21,10 @@ use consume_local_trace::{device::BitrateClass, ContentId};
 use super::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::{EdgeCache, SimConfig, UploadModel};
 use crate::engine::machine::{ActiveSet, MatcherSlot, PendingSession, SwarmSim};
-use crate::engine::run::{FrozenDay, SwarmState};
-use crate::engine::{sealed_days, SegmentedRun, Simulator};
+use crate::engine::run::SwarmState;
+use crate::engine::{sealed_days, DayCell, SegmentedRun, Simulator};
 use crate::ledger::ByteLedger;
-use crate::report::{Degradation, UserTraffic};
+use crate::report::{Degradation, SwarmDay, UserTraffic};
 
 impl SegmentedRun {
     /// Serialises the run's complete resumable state as one versioned
@@ -50,33 +54,15 @@ impl SegmentedRun {
         w.put_u64(self.closed_days);
         w.put_u64(self.spilled_days);
         w.put_len(self.spilled_cells.len());
-        for (day, isp, ledger) in &self.spilled_cells {
-            w.put_u32(*day);
-            match isp {
-                Some(isp) => {
-                    w.put_bool(true);
-                    w.put_u8(isp.0);
-                }
-                None => w.put_bool(false),
-            }
-            put_ledger(&mut w, ledger);
+        for cell in &self.spilled_cells {
+            put_cell(&mut w, cell);
         }
         w.put_u64(self.max_start_secs);
         w.put_u32(self.max_user);
         w.put_u32(self.max_content);
         w.put_len(self.states.len());
         for &slot in self.index.values() {
-            let state = &self.states[slot as usize];
-            put_key(&mut w, &state.key);
-            w.put_u64(state.sessions);
-            w.put_len(state.frozen.len());
-            for f in &state.frozen {
-                w.put_u32(f.day);
-                w.put_u64(f.demand_bytes);
-                w.put_u64(f.active_windows);
-                w.put_u64(f.peer_windows);
-            }
-            put_swarm(&mut w, &state.swarm);
+            put_state(&mut w, &self.states[slot as usize]);
         }
         w.finish(out)
     }
@@ -101,8 +87,9 @@ impl Simulator {
     /// Any [`CheckpointError`]: envelope violations from the reader,
     /// [`CheckpointError::Corrupt`] for structurally invalid payloads
     /// (unknown tags, out-of-order keys, more closed days than spilled
-    /// ones, a population with more rows than the payload holds, user ids
-    /// outside the population, an invalid configuration).
+    /// ones, a sequence with more elements than the payload holds, user ids
+    /// outside the population, a frozen day's capacity that is not a
+    /// finite non-negative number, an invalid configuration).
     pub fn resume(input: &mut impl Read) -> Result<SegmentedRun, CheckpointError> {
         let mut r = SnapshotReader::from_reader(input)?;
         let config = take_config(&mut r)?;
@@ -132,7 +119,7 @@ impl Simulator {
                 "closed days exceed the spilled days",
             ));
         }
-        let cells = r.take_len("spilled cell count")?;
+        let cells = r.take_len_of(CELL_BYTES, "spilled cell count")?;
         let mut spilled_cells = Vec::with_capacity(cells);
         let mut prev_cell: Option<(u32, Option<IspId>)> = None;
         for _ in 0..cells {
@@ -154,7 +141,7 @@ impl Simulator {
         let max_start_secs = r.take_u64("sort-key maxima")?;
         let max_user = r.take_u32("sort-key maxima")?;
         let max_content = r.take_u32("sort-key maxima")?;
-        let n = r.take_len("swarm count")?;
+        let n = r.take_len_of(SWARM_BYTES, "swarm count")?;
         let mut states = Vec::with_capacity(n);
         let mut live = Vec::new();
         let mut touched = Vec::new();
@@ -168,7 +155,7 @@ impl Simulator {
             }
             prev = Some(key);
             let sessions = r.take_u64("swarm session count")?;
-            let frozen_len = r.take_len("frozen day count")?;
+            let frozen_len = r.take_len_of(FROZEN_DAY_BYTES, "frozen day count")?;
             let mut frozen = Vec::with_capacity(frozen_len);
             let mut prev_day: Option<u32> = None;
             for _ in 0..frozen_len {
@@ -177,11 +164,17 @@ impl Simulator {
                     return Err(CheckpointError::Corrupt("frozen days out of order"));
                 }
                 prev_day = Some(day);
-                frozen.push(FrozenDay {
+                let demand_bytes = r.take_u64("frozen day demand")?;
+                // The encoder writes `effective_capacity`: finite, never
+                // negative, never -0.0.
+                let capacity = r.take_f64("frozen day capacity")?;
+                if !capacity.is_finite() || capacity.is_sign_negative() {
+                    return Err(CheckpointError::Corrupt("frozen day capacity out of range"));
+                }
+                frozen.push(SwarmDay {
                     day,
-                    demand_bytes: r.take_u64("frozen day")?,
-                    active_windows: r.take_u64("frozen day")?,
-                    peer_windows: r.take_u64("frozen day")?,
+                    capacity,
+                    demand_bytes,
                 });
             }
             let swarm = take_swarm(&mut r, &sim, &key, population_len)?;
@@ -299,6 +292,44 @@ fn take_config(r: &mut SnapshotReader) -> Result<SimConfig, CheckpointError> {
     })
 }
 
+/// The smallest encoded spilled cell: day 4, ISP flag 1, ledger 72.
+const CELL_BYTES: u64 = 77;
+
+fn put_cell(w: &mut SnapshotWriter, (day, isp, ledger): &DayCell) {
+    w.put_u32(*day);
+    match isp {
+        Some(isp) => {
+            w.put_bool(true);
+            w.put_u8(isp.0);
+        }
+        None => w.put_bool(false),
+    }
+    put_ledger(w, ledger);
+}
+
+/// The smallest encoded swarm: key 6, session and frozen-day counts 16,
+/// and a machine with no day, session or carried session 168.
+const SWARM_BYTES: u64 = 6 + 16 + 168;
+
+fn put_state(w: &mut SnapshotWriter, state: &SwarmState) {
+    put_key(w, &state.key);
+    w.put_u64(state.sessions);
+    w.put_len(state.frozen.len());
+    for day in &state.frozen {
+        put_frozen_day(w, day);
+    }
+    put_swarm(w, &state.swarm);
+}
+
+/// An encoded frozen day: day 4, demand bytes 8, capacity bits 8.
+const FROZEN_DAY_BYTES: u64 = 20;
+
+fn put_frozen_day(w: &mut SnapshotWriter, day: &SwarmDay) {
+    w.put_u32(day.day);
+    w.put_u64(day.demand_bytes);
+    w.put_f64(day.capacity);
+}
+
 fn put_key(w: &mut SnapshotWriter, key: &SwarmKey) {
     w.put_u32(key.content.0);
     match key.isp {
@@ -390,9 +421,8 @@ fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
     w.put_u64(s.degradation.defection_windows);
     w.put_u64(s.degradation.failed_demand_bytes);
     w.put_len(s.daily.len());
-    for (day, ledger) in &s.daily {
-        w.put_u32(*day);
-        put_ledger(w, ledger);
+    for daily in &s.daily {
+        put_daily(w, daily);
     }
     w.put_len(s.active.len());
     for &v in &s.active.ends {
@@ -427,14 +457,30 @@ fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
     }
     w.put_len(s.carry.len());
     for p in &s.carry {
-        w.put_u64(p.start);
-        w.put_u64(p.end);
-        w.put_u32(p.user);
-        w.put_u32(p.bitrate_bps);
-        w.put_u8(p.isp.0);
-        w.put_u32(p.location.exchange().0);
-        w.put_u32(p.location.pop().0);
+        put_carried(w, p);
     }
+}
+
+/// An encoded daily ledger: day 4, ledger 72.
+const DAILY_BYTES: u64 = 76;
+
+fn put_daily(w: &mut SnapshotWriter, (day, ledger): &(u32, ByteLedger)) {
+    w.put_u32(*day);
+    put_ledger(w, ledger);
+}
+
+/// An encoded carried session: start 8, end 8, user 4, bitrate 4, ISP 1,
+/// exchange 4, PoP 4.
+const CARRIED_BYTES: u64 = 33;
+
+fn put_carried(w: &mut SnapshotWriter, p: &PendingSession) {
+    w.put_u64(p.start);
+    w.put_u64(p.end);
+    w.put_u32(p.user);
+    w.put_u32(p.bitrate_bps);
+    w.put_u8(p.isp.0);
+    w.put_u32(p.location.exchange().0);
+    w.put_u32(p.location.pop().0);
 }
 
 /// Reads a user id, rejecting one that does not index the run's per-user
@@ -468,7 +514,7 @@ fn take_swarm(
         failed_demand_bytes: r.take_u64("degradation")?,
     };
 
-    let daily_len = r.take_len("daily ledgers")?;
+    let daily_len = r.take_len_of(DAILY_BYTES, "daily ledgers")?;
     let mut daily = Vec::with_capacity(daily_len);
     let mut prev_day: Option<u32> = None;
     for _ in 0..daily_len {
@@ -514,7 +560,7 @@ fn take_swarm(
     }
     active.min_end = active.ends.iter().copied().min().unwrap_or(u64::MAX);
 
-    let carry_len = r.take_len("carry buffer")?;
+    let carry_len = r.take_len_of(CARRIED_BYTES, "carry buffer")?;
     let mut carry = VecDeque::with_capacity(carry_len);
     for _ in 0..carry_len {
         let start = r.take_u64("carry start")?;
@@ -561,7 +607,9 @@ fn take_swarm(
 mod tests {
     use super::*;
     use crate::config::{SimConfigError, MAX_THREADS};
+    use crate::engine::tests::tiny_trace;
     use crate::online::faults::batch_schedule;
+    use consume_local_trace::time::SECS_PER_DAY;
     use consume_local_trace::{SessionStore, TraceConfig, TraceGenerator};
 
     fn snapshot_of(run: &SegmentedRun) -> Vec<u8> {
@@ -593,6 +641,61 @@ mod tests {
         }
     }
 
+    /// A write of payload fields with the codec.
+    type Put<'a> = &'a dyn Fn(&mut SnapshotWriter);
+
+    /// A 600-second session of user 0 carried from `start`.
+    fn pending(start: u64) -> PendingSession {
+        PendingSession {
+            start,
+            end: start + 600,
+            user: 0,
+            bitrate_bps: 1_500_000,
+            isp: IspId(0),
+            location: UserLocation::from_raw_parts(ExchangeId(0), PopId(0)),
+        }
+    }
+
+    /// The smallest swarm key: content only.
+    const BARE_KEY: SwarmKey = SwarmKey {
+        content: ContentId(0),
+        isp: None,
+        bitrate: None,
+    };
+
+    /// The smallest element of each sequence kind, written with the codec,
+    /// takes exactly its named size.
+    #[test]
+    fn smallest_elements_take_their_named_sizes() {
+        let sim = Simulator::new(SimConfig::default());
+        let state = SwarmState {
+            key: BARE_KEY,
+            sessions: 0,
+            frozen: Vec::new(),
+            touched: false,
+            swarm: SwarmSim::new(&sim, &BARE_KEY, 0, 1.0),
+        };
+        let day = SwarmDay {
+            day: 0,
+            capacity: 0.0,
+            demand_bytes: 0,
+        };
+        let carried = pending(0);
+        let ledger = ByteLedger::new();
+        let cases: [(u64, Put); 5] = [
+            (CELL_BYTES, &|w| put_cell(w, &(0, None, ledger))),
+            (SWARM_BYTES, &|w| put_state(w, &state)),
+            (FROZEN_DAY_BYTES, &|w| put_frozen_day(w, &day)),
+            (DAILY_BYTES, &|w| put_daily(w, &(0, ledger))),
+            (CARRIED_BYTES, &|w| put_carried(w, &carried)),
+        ];
+        for (size, put) in cases {
+            let mut w = SnapshotWriter::new();
+            put(&mut w);
+            assert_eq!(w.payload_len() as u64, size);
+        }
+    }
+
     /// Each structural rejection of the decoder, by its exact message. A
     /// case either forges a payload with the codec's own writers or
     /// tampers with the private state of a run restored from a mid-day
@@ -616,7 +719,7 @@ mod tests {
             edit(&mut run);
             snapshot_of(&run)
         };
-        let forged = |write: &dyn Fn(&mut SnapshotWriter)| {
+        let forged = |write: Put| {
             let mut w = SnapshotWriter::new();
             write(&mut w);
             let mut bytes = Vec::new();
@@ -630,13 +733,46 @@ mod tests {
             w.put_u8(0);
             w.put_f64(1.0);
         };
-        let pending = |start| PendingSession {
-            start,
-            end: start + 600,
-            user: 0,
-            bitrate_bps: 1_500_000,
-            isp: IspId(0),
-            location: UserLocation::from_raw_parts(ExchangeId(0), PopId(0)),
+        // The payload up to each sequence count, one step per count: a run
+        // with a one-day horizon, no users and nothing spilled, then one
+        // swarm with the smallest key and a machine of 18 zero words
+        // (matcher word, window boundary, upload ratio, ledger and
+        // degradation), with no day and no active session.
+        let steps: [Put; 5] = [
+            &|w| {
+                put_config(w, &SimConfig::default());
+                // Horizon, population, watermark, closed and spilled days.
+                [86_400, 0, 0, 0, 0].into_iter().for_each(|v| w.put_u64(v));
+            },
+            &|w| {
+                w.put_len(0);
+                w.put_u64(0);
+                w.put_u32(0);
+                w.put_u32(0);
+            },
+            &|w| {
+                w.put_len(1);
+                put_key(w, &BARE_KEY);
+                w.put_u64(0);
+            },
+            &|w| {
+                w.put_len(0);
+                (0..18).for_each(|_| w.put_u64(0));
+            },
+            &|w| {
+                w.put_len(0);
+                w.put_len(0);
+            },
+        ];
+        // The `at`-th count claims one element of `size` bytes more than
+        // the 400 bytes left after it hold, though no more than one per
+        // byte left.
+        let overclaimed = |at: usize, size: u64| {
+            forged(&|w| {
+                steps[..=at].iter().for_each(|step| step(w));
+                w.put_u64(400 / size + 1);
+                (0..400).for_each(|_| w.put_u8(0));
+            })
         };
         let cases = [
             (
@@ -696,6 +832,20 @@ mod tests {
                 }),
             ),
             (
+                "frozen day capacity out of range",
+                tampered(&|run| {
+                    let state = run.states.iter_mut().find(|s| !s.frozen.is_empty());
+                    state.expect("a swarm with a spilled day").frozen[0].capacity = f64::NAN;
+                }),
+            ),
+            (
+                "frozen day capacity out of range",
+                tampered(&|run| {
+                    let state = run.states.iter_mut().find(|s| !s.frozen.is_empty());
+                    state.expect("a swarm with a spilled day").frozen[0].capacity = -1.0;
+                }),
+            ),
+            (
                 "daily ledgers out of order",
                 tampered(&|run| {
                     let state = run.states.iter_mut().find(|s| !s.swarm.daily.is_empty());
@@ -711,6 +861,17 @@ mod tests {
                     carry.push_back(pending(run.watermark + 10));
                 }),
             ),
+            ("sequence length out of bounds", overclaimed(0, CELL_BYTES)),
+            ("sequence length out of bounds", overclaimed(1, SWARM_BYTES)),
+            (
+                "sequence length out of bounds",
+                overclaimed(2, FROZEN_DAY_BYTES),
+            ),
+            ("sequence length out of bounds", overclaimed(3, DAILY_BYTES)),
+            (
+                "sequence length out of bounds",
+                overclaimed(4, CARRIED_BYTES),
+            ),
         ];
         assert!(Simulator::resume(&mut pristine.as_slice()).is_ok());
         for (message, bytes) in cases {
@@ -720,5 +881,110 @@ mod tests {
                 Ok(_) => panic!("{message}: the snapshot restored"),
             }
         }
+    }
+
+    /// A snapshot taken mid-run must restore into a run that finishes
+    /// byte-identically to both the donor and the uninterrupted reference,
+    /// across configs that exercise every codec branch: hierarchical and
+    /// random matchers, ISP/bitrate splits, edge cache + preload, and
+    /// non-trivial defection rates.
+    #[test]
+    fn checkpoint_roundtrip_resumes_byte_identically() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        let days = batch_schedule(&store, SECS_PER_DAY);
+        let configs = [
+            SimConfig::default(),
+            SimConfig {
+                matcher: MatcherKind::Random,
+                seed: 9,
+                upload: crate::config::UploadModel::AbsoluteBps(600_000),
+                ..Default::default()
+            },
+            SimConfig {
+                preload_fraction: 0.25,
+                edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
+                participation_rate: 0.8,
+                cooperation_rate: 0.9,
+                ..Default::default()
+            },
+        ];
+        for config in configs {
+            let sim = Simulator::new(config);
+            let expect = sim.simulate(&store);
+            let cut = days.len() / 2;
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            for (batch, watermark) in &days[..cut] {
+                run.push_batch(batch, *watermark);
+            }
+            let mut snapshot = Vec::new();
+            run.checkpoint(&mut snapshot).unwrap();
+            let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+            assert_eq!(resumed.watermark(), run.watermark());
+            for (batch, watermark) in &days[cut..] {
+                run.push_batch(batch, *watermark);
+                resumed.push_batch(batch, *watermark);
+            }
+            assert_eq!(resumed.finish(), expect, "resumed run diverged");
+            assert_eq!(
+                run.finish(),
+                expect,
+                "checkpoint() must not perturb the donor"
+            );
+        }
+    }
+
+    /// Snapshots are not day-aligned: a checkpoint cut at a mid-day
+    /// watermark (live swarms, carried sessions, partially accumulated
+    /// daily ledgers) must still resume byte-identically.
+    #[test]
+    fn checkpoint_at_mid_day_watermark_roundtrips() {
+        let trace = tiny_trace();
+        let store = SessionStore::from_trace(&trace);
+        let sim = Simulator::new(SimConfig::default());
+        let expect = sim.simulate(&store);
+        // 9 000 s ticks never land on a day boundary (86 400 % 9 000 != 0).
+        let schedule = crate::online::faults::batch_schedule(&store, 9_000);
+        let cut = 11; // mid day 1
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        for (batch, watermark) in &schedule[..cut] {
+            run.push_batch(batch, *watermark);
+        }
+        let mut snapshot = Vec::new();
+        run.checkpoint(&mut snapshot).unwrap();
+        drop(run); // the crash
+        let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(resumed.watermark(), schedule[cut - 1].1);
+        for (batch, watermark) in &schedule[cut..] {
+            resumed.push_batch(batch, *watermark);
+        }
+        assert_eq!(resumed.finish(), expect);
+    }
+
+    /// The snapshot carries the full engine configuration: restoring on a
+    /// host with a different default thread count must not change results,
+    /// and the restored run keeps the donor's matcher and seed.
+    #[test]
+    fn snapshot_carries_the_configuration() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        let days = batch_schedule(&store, SECS_PER_DAY);
+        let config = SimConfig {
+            matcher: MatcherKind::Random,
+            seed: 77,
+            threads: 2,
+            ..Default::default()
+        };
+        let sim = Simulator::new(config);
+        let expect = sim.simulate(&store);
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        for (batch, watermark) in &days[..3] {
+            run.push_batch(batch, *watermark);
+        }
+        let mut snapshot = Vec::new();
+        run.checkpoint(&mut snapshot).unwrap();
+        let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+        for (batch, watermark) in &days[3..] {
+            resumed.push_batch(batch, *watermark);
+        }
+        assert_eq!(resumed.finish(), expect);
     }
 }

@@ -54,7 +54,9 @@ use consume_local_trace::{ContentId, SessionRecord, SessionStore};
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::config::{SimConfig, SimConfigError};
 use crate::ledger::ByteLedger;
-use crate::report::{DailyIspCell, Degradation, SimReport, SimWarning, SwarmReport, UserTraffic};
+use crate::report::{
+    DailyIspCell, Degradation, SimReport, SimWarning, SwarmDay, SwarmReport, UserTraffic,
+};
 use crate::source::SessionSource;
 
 pub(crate) mod machine;
@@ -62,9 +64,8 @@ pub(crate) mod machine;
 mod oracle;
 pub(crate) mod run;
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;
 
-use run::FrozenDay;
 pub use run::SegmentedRun;
 
 /// The simulator: a configured engine, reusable across traces.
@@ -223,8 +224,8 @@ impl Simulator {
     /// its grouped day × ISP cells into the final report — the common tail
     /// of [`SegmentedRun::finish_days`] (and through it every entry point)
     /// and of the test-only row oracle. Both spill every day before they
-    /// get here, so each swarm's days are its frozen days and the report's
-    /// day × ISP cells are `cells` as they stand.
+    /// get here, so each swarm's spilled days are its report points as
+    /// they stand, and the report's day × ISP cells are `cells`.
     fn merge_outputs(
         &self,
         horizon: u64,
@@ -237,18 +238,12 @@ impl Simulator {
         let mut swarms = Vec::with_capacity(parts.len());
         let mut total = ByteLedger::new();
         let mut degradation = Degradation::default();
-        for (key, sessions, out) in parts {
+        for (key, sessions, mut out) in parts {
             total.merge(&out.ledger);
             degradation.merge(&out.degradation);
-            let daily = out
-                .frozen
-                .iter()
-                .map(|f| crate::report::SwarmDay {
-                    day: f.day,
-                    capacity: f.capacity(),
-                    demand_bytes: f.demand_bytes,
-                })
-                .collect();
+            // The points grew one spill at a time; the report keeps them
+            // at their exact length.
+            out.daily.shrink_to_fit();
             swarms.push(SwarmReport {
                 key,
                 ledger: out.ledger,
@@ -256,7 +251,7 @@ impl Simulator {
                 capacity: effective_capacity(&out.ledger),
                 time_avg_capacity: out.ledger.measured_capacity(total_windows),
                 upload_ratio: out.upload_ratio,
-                daily,
+                daily: out.daily,
             });
         }
         let daily = cells
@@ -321,25 +316,25 @@ pub(crate) fn sealed_days(watermark: u64, horizon_secs: u64) -> u64 {
 }
 
 /// One day × ISP cell of the report's daily list, `(day, isp, ledger)`.
-type DayCell = (u32, Option<IspId>, ByteLedger);
+pub(crate) type DayCell = (u32, Option<IspId>, ByteLedger);
 
 /// Spills the entries of a swarm's day-sorted `daily` list that lie before
-/// day `sealed`: each becomes a compact [`FrozenDay`] in `frozen` and the
-/// swarm's share of its day × ISP cell in `cells`.
+/// day `sealed`: each becomes the report's [`SwarmDay`] point in `spilled`
+/// (its capacity inverted here, once) and the swarm's share of its day ×
+/// ISP cell in `cells`.
 fn spill_days(
     daily: &mut Vec<(u32, ByteLedger)>,
     sealed: u64,
     isp: Option<IspId>,
-    frozen: &mut Vec<FrozenDay>,
+    spilled: &mut Vec<SwarmDay>,
     cells: &mut Vec<DayCell>,
 ) {
     let cut = daily.partition_point(|&(d, _)| u64::from(d) < sealed);
     for (day, ledger) in daily.drain(..cut) {
-        frozen.push(FrozenDay {
+        spilled.push(SwarmDay {
             day,
+            capacity: effective_capacity(&ledger),
             demand_bytes: ledger.demand_bytes,
-            active_windows: ledger.active_windows,
-            peer_windows: ledger.peer_windows,
         });
         cells.push((day, isp, ledger));
     }
@@ -523,12 +518,12 @@ fn swarm_seed(base: u64, key: &SwarmKey) -> u64 {
 }
 
 /// One swarm's share of the final report, taken once every day is spilled:
-/// its whole-run ledger, its days as [`FrozenDay`]s in day order (their
-/// day × ISP cells are the run's), its upload ratio and its fault losses.
+/// its whole-run ledger, its spilled days in day order (their day × ISP
+/// cells are the run's), its upload ratio and its fault losses.
 #[derive(Debug, Default)]
 struct SwarmOutput {
     ledger: ByteLedger,
-    frozen: Vec<FrozenDay>,
+    daily: Vec<SwarmDay>,
     upload_ratio: f64,
     degradation: Degradation,
 }

@@ -10,13 +10,12 @@ use consume_local_swarm::{Matcher, Peer, SwarmKey};
 use consume_local_topology::{IspId, UserLocation};
 use consume_local_trace::{SessionStore, SimTime};
 
-use super::run::FrozenDay;
 use super::{
     align_up, defects, participates, swarm_seed, Simulator, SwarmOutput, UserBytes,
     DEFECT_STREAM_TAG, RECV_DEFECT_STREAM_TAG,
 };
 use crate::ledger::ByteLedger;
-use crate::report::Degradation;
+use crate::report::{Degradation, SwarmDay};
 
 /// The columnar active set of one sub-swarm: parallel per-session columns in
 /// arrival order, with the `peers`/`needs`/`budgets` columns shaped exactly
@@ -668,21 +667,21 @@ impl SwarmSim {
     }
 
     /// Extracts the output of a machine the run's final push has advanced
-    /// to the horizon and spilled, with its `frozen` days: the sessions
-    /// still active (those running past the horizon) append their bytes
-    /// to `retired`. Taking `&mut self` lets
+    /// to the horizon and spilled, with its spilled `daily` points: the
+    /// sessions still active (those running past the horizon) append their
+    /// bytes to `retired`. Taking `&mut self` lets
     /// [`SegmentedRun::finish_days`](super::SegmentedRun::finish_days) walk
     /// its machines in key order through the slot index.
     pub(super) fn take_output(
         &mut self,
-        frozen: Vec<FrozenDay>,
+        daily: Vec<SwarmDay>,
         retired: &mut Vec<UserBytes>,
     ) -> SwarmOutput {
         debug_assert!(self.daily.is_empty(), "the final push spills every day");
         self.active.retire_ended(u64::MAX, retired);
         SwarmOutput {
             ledger: std::mem::take(&mut self.ledger),
-            frozen,
+            daily,
             upload_ratio: self.upload_ratio,
             degradation: std::mem::take(&mut self.degradation),
         }

@@ -267,7 +267,7 @@ impl Simulator {
         }
 
         let mut cells = Vec::new();
-        spill_days(&mut daily, u64::MAX, key.isp, &mut out.frozen, &mut cells);
+        spill_days(&mut daily, u64::MAX, key.isp, &mut out.daily, &mut cells);
         let users = swarm_users
             .into_iter()
             .zip(user_acc)

@@ -1,7 +1,7 @@
 //! The run: [`SegmentedRun`] keeps one [`SwarmSim`] per swarm and
-//! advances those a batch touches in cost-cut chunks across threads, seals
-//! and spills the days the watermark passes, and ends through one more
-//! push.
+//! advances those a batch touches in cost-cut chunks across threads, where
+//! each machine also spills the days the watermark seals, and ends through
+//! one more push.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -17,7 +17,7 @@ use super::{
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::ledger::ByteLedger;
 use crate::par::parallel_map_slices;
-use crate::report::{SimReport, UserTraffic};
+use crate::report::{SimReport, SwarmDay, UserTraffic};
 use crate::source::SessionSource;
 
 /// Chunks per worker in [`cost_chunks`]: slack for work stealing to even
@@ -70,21 +70,22 @@ pub(super) fn cost_chunks(costs: &[u64], workers: usize) -> Vec<usize> {
     offsets
 }
 
-/// A push's work list: the `live` slots and the batch's `(slot, sessions)`
-/// pairs, both ascending, merged into one ascending list of distinct slots,
-/// each with its batch sessions (none for a live machine the batch does
-/// not reach).
-fn merge_work<'b>(live: &[u32], batch: &[(u32, &'b [u32])]) -> Vec<(u32, &'b [u32])> {
-    let mut work = Vec::with_capacity(live.len() + batch.len());
-    let mut live = live.iter().copied().peekable();
+/// A push's work list: the `visit` slots (the live machines, plus the
+/// touched ones when the push seals a day) and the batch's
+/// `(slot, sessions)` pairs, both ascending and distinct, merged into one
+/// ascending list of distinct slots, each with its batch sessions (none for
+/// a visited machine the batch does not reach).
+fn merge_work<'b>(visit: &[u32], batch: &[(u32, &'b [u32])]) -> Vec<(u32, &'b [u32])> {
+    let mut work = Vec::with_capacity(visit.len() + batch.len());
+    let mut visit = visit.iter().copied().peekable();
     for &(slot, sessions) in batch {
-        while let Some(l) = live.next_if(|&l| l < slot) {
-            work.push((l, &[][..]));
+        while let Some(v) = visit.next_if(|&v| v < slot) {
+            work.push((v, &[][..]));
         }
-        live.next_if_eq(&slot);
+        visit.next_if_eq(&slot);
         work.push((slot, sessions));
     }
-    work.extend(live.map(|l| (l, &[][..])));
+    work.extend(visit.map(|v| (v, &[][..])));
     work
 }
 
@@ -111,32 +112,6 @@ fn gather_machines<'s, 'b>(
     machines
 }
 
-/// One spilled (sealed) day of a swarm's ledger, kept in the compact form
-/// the final report needs: the [`crate::report::SwarmDay`] point is
-/// `(day, demand_bytes, capacity)` where the capacity is a function of the
-/// window counts alone, so the other ledger classes need not stay resident
-/// per swarm — their sums live on in the run-level day × ISP cells.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FrozenDay {
-    pub(crate) day: u32,
-    pub(crate) demand_bytes: u64,
-    pub(crate) active_windows: u64,
-    pub(crate) peer_windows: u64,
-}
-
-impl FrozenDay {
-    /// The day's effective capacity, bit-identical to
-    /// [`effective_capacity`](super::effective_capacity) of the full ledger
-    /// it was frozen from.
-    pub(super) fn capacity(&self) -> f64 {
-        if self.active_windows == 0 {
-            return 0.0;
-        }
-        let l_bar = self.peer_windows as f64 / self.active_windows as f64;
-        consume_local_analytics::capacity_from_active_mean(l_bar)
-    }
-}
-
 /// One swarm's persistent entry in a [`SegmentedRun`].
 #[derive(Debug)]
 pub(crate) struct SwarmState {
@@ -144,9 +119,10 @@ pub(crate) struct SwarmState {
     /// Sessions grouped into this swarm so far (the monolithic report's
     /// per-swarm session count, accumulated per segment).
     pub(crate) sessions: u64,
-    /// Sealed days spilled out of the machine's `daily` list, day-ordered
-    /// (see [`SegmentedRun::seal_days`]).
-    pub(crate) frozen: Vec<FrozenDay>,
+    /// Sealed days spilled out of the machine's `daily` list, day-ordered:
+    /// the report's points, already in their final form. The other ledger
+    /// classes live on in the run-level day × ISP cells.
+    pub(crate) frozen: Vec<SwarmDay>,
     /// Whether the machine's slot is listed in [`SegmentedRun`]'s
     /// `touched` list (derived state: a snapshot does not carry it).
     pub(crate) touched: bool,
@@ -166,7 +142,8 @@ pub(crate) struct SwarmState {
 /// - the **live** machines, those holding active or carried sessions:
 ///   with the batch's machines, they are all a push advances;
 /// - the **touched** machines, those advanced since the last day seal or
-///   still holding unspilled days: all a day seal spills and freezes.
+///   still holding unspilled days: a push that seals a day visits them too,
+///   to spill and freeze them.
 ///
 /// So a push costs what its batch and the live sessions bring, not what
 /// the run has accumulated. A machine that falls quiescent stays warm
@@ -243,9 +220,24 @@ impl SegmentedRun {
     /// work list is cut by cost, not by count: a machine costs one plus
     /// its batch sessions, active and carried sessions. Head swarms thus
     /// get chunks of their own, and a batch that brings no work and finds
-    /// no live machine spawns no thread. A push that seals a day also
-    /// spills it and freezes every machine that fell quiescent since the
-    /// last seal.
+    /// no live machine spawns no thread.
+    ///
+    /// A push that seals a day also visits the touched machines, and each
+    /// machine spills its sealed days and, if quiescent, freezes inside the
+    /// same parallel pass:
+    ///
+    /// - **Spill.** Each sealed `(day, ledger)` entry becomes the report's
+    ///   [`SwarmDay`] point and the swarm's share of its day × ISP cell;
+    ///   the chunks' cells then fold into the run-level cells. A day is
+    ///   sealed once the watermark passes its end — machines with pending
+    ///   work always advance to the watermark and later sessions start at
+    ///   or after it, so sealed entries can never grow again (the
+    ///   invariant [`SegmentedRun::drain_closed_days`] already relies on).
+    /// - **Freeze.** Every quiescent machine is compacted to its matcher's
+    ///   checkpoint word, so after a day seal no quiescent machine holds a
+    ///   built matcher. A touched quiescent machine the batch brings
+    ///   nothing to is not advanced, so a dormant one is never thawed just
+    ///   to be frozen again.
     ///
     /// Sessions starting at or past the horizon never run a window, so the
     /// run leaves them out: they get no machine, no session count and no
@@ -327,18 +319,28 @@ impl SegmentedRun {
         batch_work.sort_unstable_by_key(|&(slot, _)| slot);
 
         // 3. The work list: the live machines and the batch's, merged in
-        //    slot order, each with its batch sessions. Every machine on it
-        //    has work; no other machine does.
-        let work = merge_work(&self.live, &batch_work);
+        //    slot order, each with its batch sessions. A push that seals a
+        //    day adds the touched machines, which hold every unspilled day
+        //    and every warm quiescent matcher; every other machine is
+        //    frozen and spilled.
+        let sealed = sealed_days(watermark, self.horizon_secs);
+        let seals = sealed > self.spilled_days;
+        let work = if seals {
+            let mut visit: Vec<u32> = self.live.iter().chain(&self.touched).copied().collect();
+            visit.sort_unstable();
+            visit.dedup();
+            merge_work(&visit, &batch_work)
+        } else {
+            merge_work(&self.live, &batch_work)
+        };
 
-        // 4. Advance the work list in parallel over disjoint cost-balanced
-        //    chunks (slot-ordered: the final state of every machine is
-        //    independent of which thread ran it). Each chunk lists the
-        //    bytes of the sessions its machines retired, and the lists fold
-        //    into the per-user totals once the pass is over. A push that
-        //    seals a day freezes its quiescent machines right here, so a
-        //    daily push's freezes run in parallel, not in the seal walk.
-        let seals = sealed_days(watermark, self.horizon_secs) > self.spilled_days;
+        // 4. Advance the machines with work (batch sessions, or live ones)
+        //    in parallel over disjoint cost-balanced chunks (slot-ordered:
+        //    the final state of every machine is independent of which
+        //    thread ran it), and on a sealing push spill and freeze each
+        //    one. Each chunk lists the bytes of the sessions its machines
+        //    retired and the day × ISP cells they spilled; the lists fold
+        //    into the run once the pass is over.
         let sim = &self.sim;
         let horizon = self.horizon_secs;
         let mut machines = gather_machines(&mut self.states, &work);
@@ -347,72 +349,52 @@ impl SegmentedRun {
             .map(|(state, sessions)| state.swarm.cost(sessions.len()))
             .collect();
         let offsets = cost_chunks(&costs, sim.config.threads);
-        let retired =
+        let chunks =
             parallel_map_slices(&mut machines, &offsets, sim.config.threads, |_, chunk| {
-                let mut retired = Vec::new();
+                let (mut retired, mut cells) = (Vec::new(), Vec::new());
                 for (state, sessions) in chunk {
                     let swarm = &mut state.swarm;
-                    swarm.advance(sim, batch, sessions, limit, horizon, &mut retired);
-                    if seals && swarm.is_quiescent() {
-                        swarm.freeze();
+                    if !sessions.is_empty() || !swarm.is_quiescent() {
+                        swarm.advance(sim, batch, sessions, limit, horizon, &mut retired);
+                    }
+                    if seals {
+                        let (isp, frozen) = (state.key.isp, &mut state.frozen);
+                        spill_days(&mut swarm.daily, sealed, isp, frozen, &mut cells);
+                        if swarm.is_quiescent() {
+                            swarm.freeze();
+                        }
                     }
                 }
-                retired
+                (retired, cells)
             });
         drop(machines);
-        add_user_bytes(&mut self.users, retired.iter().flatten());
+        let mut spilled = Vec::new();
+        for (retired, cells) in chunks {
+            add_user_bytes(&mut self.users, &retired);
+            spilled.extend(cells);
+        }
+        if seals {
+            fold_cells(&mut self.spilled_cells, spilled);
+            self.spilled_days = sealed;
+            self.touched.clear();
+        }
 
-        // 5. Re-list the live machines (every one was on the work list,
-        //    so the list stays ascending) and note the newly touched ones.
+        // 5. Re-list the live machines (every one was on the work list, so
+        //    the list stays ascending) and the touched ones. After a seal a
+        //    machine stays touched only while it holds an unspilled day; if
+        //    it is live, its next advance lists it again.
         self.live.clear();
         for &(slot, _) in &work {
             let state = &mut self.states[slot as usize];
             if !state.swarm.is_quiescent() {
                 self.live.push(slot);
             }
-            if !state.touched {
-                state.touched = true;
+            let touched = !seals || !state.swarm.daily.is_empty();
+            if touched && (seals || !state.touched) {
                 self.touched.push(slot);
             }
+            state.touched = touched;
         }
-        if seals {
-            self.seal_days();
-        }
-    }
-
-    /// Seals every day the watermark has newly sealed, walking only the
-    /// touched machines (every other one is frozen and holds no unspilled
-    /// day):
-    ///
-    /// - **Spill.** Each sealed `(day, ledger)` entry is folded into the
-    ///   run-level day × ISP cells ([`spill_days`], [`fold_cells`]) and
-    ///   replaced by a compact [`FrozenDay`]. A day is sealed once the
-    ///   watermark passes its end — machines with pending work always
-    ///   advance to the watermark and later sessions start at or after
-    ///   it, so sealed entries can never grow again (the invariant
-    ///   [`SegmentedRun::drain_closed_days`] already relies on).
-    /// - **Freeze.** Every quiescent machine is compacted
-    ///   ([`SwarmSim::freeze`]), so after a day seal no quiescent machine
-    ///   holds a built matcher.
-    ///
-    /// A machine leaves the touched list once it holds no unspilled day;
-    /// if it is live, its next advance lists it again.
-    fn seal_days(&mut self) {
-        let sealed = sealed_days(self.watermark, self.horizon_secs);
-        let mut cells = Vec::new();
-        let states = &mut self.states;
-        self.touched.retain(|&slot| {
-            let state = &mut states[slot as usize];
-            let daily = &mut state.swarm.daily;
-            spill_days(daily, sealed, state.key.isp, &mut state.frozen, &mut cells);
-            if state.swarm.is_quiescent() {
-                state.swarm.freeze();
-            }
-            state.touched = !state.swarm.daily.is_empty();
-            state.touched
-        });
-        fold_cells(&mut self.spilled_cells, cells);
-        self.spilled_days = sealed;
     }
 
     /// Emits a [`DayClose`] for every day the current watermark has sealed
@@ -499,8 +481,8 @@ impl SegmentedRun {
             .values()
             .map(|&slot| {
                 let state = &mut self.states[slot as usize];
-                let frozen = std::mem::take(&mut state.frozen);
-                let out = state.swarm.take_output(frozen, &mut retired);
+                let daily = std::mem::take(&mut state.frozen);
+                let out = state.swarm.take_output(daily, &mut retired);
                 (state.key, state.sessions, out)
             })
             .collect();
@@ -544,5 +526,276 @@ impl SegmentedRun {
     /// The run's horizon in seconds.
     pub fn horizon_secs(&self) -> u64 {
         self.horizon_secs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::engine::machine::MatcherSlot;
+    use crate::engine::tests::{pair_trace, simulate_by_day, tiny_trace};
+    use crate::online::faults::batch_schedule;
+    use consume_local_trace::time::SECS_PER_DAY;
+    use consume_local_trace::UserId;
+
+    /// Checks [`cost_chunks`]' contract on one cost vector.
+    fn check_cost_chunks(costs: &[u64], workers: usize) {
+        let offsets = cost_chunks(costs, workers);
+        let total: u64 = costs.iter().sum();
+        let case = format!("{} states, {workers} workers", costs.len());
+        if total == 0 {
+            assert!(offsets.is_empty(), "{case}: zero cost must not fan out");
+            return;
+        }
+        assert_eq!(offsets.first(), Some(&0), "{case}");
+        assert_eq!(offsets.last(), Some(&costs.len()), "{case}");
+        assert!(
+            offsets.windows(2).all(|w| w[0] < w[1]),
+            "{case}: offsets must ascend"
+        );
+        let max_chunks = workers as u64 * CHUNKS_PER_WORKER;
+        assert!(
+            offsets.len() as u64 - 1 <= max_chunks,
+            "{case}: too many chunks"
+        );
+        let target = total.div_ceil(max_chunks);
+        for w in offsets.windows(2) {
+            let chunk = &costs[w[0]..w[1]];
+            let heaviest = *chunk.iter().max().expect("chunks are non-empty");
+            assert!(
+                chunk.iter().sum::<u64>() <= target + heaviest,
+                "{case}: chunk {w:?} overshoots the target {target}"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_chunks_cover_every_state_within_the_bound() {
+        // Zipf-shaped costs with a quiescent tail, the shape a daily push
+        // sees; flat, sparse, single and empty vectors; and a
+        // pseudo-random mix with many zero-cost states.
+        let zipf: Vec<u64> = (1..=400u64).map(|rank| 90_000 / rank).collect();
+        let mut quiet_tail = zipf.clone();
+        quiet_tail.extend([0; 300]);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mixed: Vec<u64> = (0..777)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 3 == 0 {
+                    0
+                } else {
+                    x % 1_000
+                }
+            })
+            .collect();
+        let cases = [
+            Vec::new(),
+            vec![0; 9],
+            vec![7],
+            vec![0, 0, 5, 0, 0],
+            vec![1; 1_000],
+            zipf,
+            quiet_tail,
+            mixed,
+        ];
+        for costs in &cases {
+            for workers in [1, 2, 3, 8, 64] {
+                check_cost_chunks(costs, workers);
+            }
+        }
+    }
+
+    #[test]
+    fn cost_chunks_give_head_swarms_chunks_of_their_own() {
+        // Two head swarms above the 2-worker target (1/16 of the total)
+        // each close a chunk alone, ahead of the tail.
+        let mut costs = vec![5_000, 2_000];
+        costs.extend([10; 300]);
+        // (16 chunks of equal count would have put both heads and 17 tail
+        // swarms in the first one: 72 % of the work on one thread.)
+        let offsets = cost_chunks(&costs, 2);
+        assert_eq!(offsets[..3], [0, 1, 2]);
+        check_cost_chunks(&costs, 2);
+    }
+
+    /// Checks a run's machine index against a walk over every machine: the
+    /// index lists each machine once under its key, the live list is
+    /// exactly the machines holding active or carried sessions, and the
+    /// touched list matches the flags and holds every machine with
+    /// unspilled days or a quiescent machine's built matcher. Checks the
+    /// spill boundary too: every open day lies at or past it, and every
+    /// spilled point and cell before it, each swarm's points in day order.
+    fn check_machine_index(run: &SegmentedRun) {
+        assert_eq!(run.index.len(), run.states.len());
+        for (key, &slot) in &run.index {
+            assert_eq!(run.states[slot as usize].key, *key);
+        }
+        let live: Vec<u32> = (0..)
+            .zip(&run.states)
+            .filter(|(_, state)| !state.swarm.is_quiescent())
+            .map(|(slot, _)| slot)
+            .collect();
+        assert_eq!(run.live, live, "live list at {}", run.watermark);
+        let mut listed = vec![false; run.states.len()];
+        for &slot in &run.touched {
+            assert!(!listed[slot as usize], "slot {slot} touched twice");
+            listed[slot as usize] = true;
+        }
+        for (state, listed) in run.states.iter().zip(listed) {
+            assert_eq!(state.touched, listed);
+            let warm =
+                state.swarm.is_quiescent() && matches!(state.swarm.matcher, MatcherSlot::Live(_));
+            assert!(listed || (state.swarm.daily.is_empty() && !warm));
+            let open = &state.swarm.daily;
+            assert!(open
+                .iter()
+                .all(|&(day, _)| u64::from(day) >= run.spilled_days));
+            let spilled: Vec<u32> = state.frozen.iter().map(|d| d.day).collect();
+            assert!(spilled.windows(2).all(|w| w[0] < w[1]), "{spilled:?}");
+            assert!(spilled.iter().all(|&day| u64::from(day) < run.spilled_days));
+        }
+        let cells = &run.spilled_cells;
+        assert!(cells
+            .iter()
+            .all(|&(day, _, _)| u64::from(day) < run.spilled_days));
+    }
+
+    /// Machines that fall quiescent mid-day stay warm until the next push
+    /// that seals a day, which freezes every one of them: after each seal
+    /// of a 15-minute schedule no quiescent machine holds a built matcher.
+    #[test]
+    fn day_seals_freeze_every_quiescent_machine() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        for threads in [1, 2] {
+            let sim = Simulator::new(SimConfig {
+                threads,
+                ..Default::default()
+            });
+            let mut run = sim.begin(store.horizon_secs(), store.population_len());
+            let (mut seals, mut warm) = (0, 0);
+            for (batch, watermark) in batch_schedule(&store, 900) {
+                let spilled = run.spilled_days;
+                run.push_batch(&batch, watermark);
+                check_machine_index(&run);
+                let quiescent_warm = run
+                    .states
+                    .iter()
+                    .filter(|s| {
+                        s.swarm.is_quiescent() && matches!(s.swarm.matcher, MatcherSlot::Live(_))
+                    })
+                    .count();
+                if run.spilled_days > spilled {
+                    seals += 1;
+                    assert_eq!(quiescent_warm, 0, "warm quiescent machines at {watermark}");
+                } else {
+                    warm += quiescent_warm;
+                }
+            }
+            assert_eq!(seals, store.horizon_secs().div_ceil(SECS_PER_DAY));
+            assert!(warm > 0, "no machine stayed warm between seals");
+            assert_eq!(run.finish(), sim.simulate(&store));
+        }
+    }
+
+    /// A restore brings every quiescent machine back dormant, some still
+    /// holding the open day. The push that seals that day spills them
+    /// without advancing them: a machine that came back dormant and that
+    /// the batch brings no session to is still dormant afterwards and
+    /// holds no open day.
+    #[test]
+    fn a_day_seal_spills_restored_dormant_machines_in_place() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        let sim = Simulator::new(SimConfig::default());
+        let mut donor = sim.begin(store.horizon_secs(), store.population_len());
+        // 11 ticks of 9 000 s end mid day 1.
+        for (batch, watermark) in &batch_schedule(&store, 9_000)[..11] {
+            donor.push_batch(batch, *watermark);
+        }
+        let mut snapshot = Vec::new();
+        donor.checkpoint(&mut snapshot).unwrap();
+        let mut run = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+        let before: Vec<(bool, bool, u64)> = run
+            .states
+            .iter()
+            .map(|s| {
+                let dormant = matches!(s.swarm.matcher, MatcherSlot::Dormant { .. });
+                (dormant, !s.swarm.daily.is_empty(), s.sessions)
+            })
+            .collect();
+
+        // One batch up to the end of day 1 seals it.
+        let day_end = 2 * SECS_PER_DAY;
+        let (from, to) = (
+            store.first_at_or_after(run.watermark()),
+            store.first_at_or_after(day_end),
+        );
+        let records: Vec<_> = (from..to).map(|i| store.record(i)).collect();
+        let horizon = store.horizon_secs();
+        let batch = SessionStore::from_records(&records, horizon, store.population_len());
+        run.push_batch(&batch, day_end);
+        assert_eq!(run.spilled_days, 2);
+        check_machine_index(&run);
+
+        let mut spilled_in_place = 0;
+        for (state, &(dormant, open, sessions)) in run.states.iter().zip(&before) {
+            if dormant && state.sessions == sessions {
+                assert!(matches!(state.swarm.matcher, MatcherSlot::Dormant { .. }));
+                assert!(state.swarm.daily.is_empty());
+                spilled_in_place += usize::from(open);
+            }
+        }
+        assert!(spilled_in_place > 0, "no dormant machine held the open day");
+    }
+
+    #[test]
+    #[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
+    fn push_batch_rejects_sessions_past_the_watermark() {
+        let trace = pair_trace(100);
+        let store = SessionStore::from_trace(&trace);
+        let sim = Simulator::new(SimConfig::default());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        // The second session starts at 100 s, past this watermark.
+        run.push_batch(&store, 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch user id 7 is outside the population of 2 users")]
+    fn push_batch_rejects_users_outside_the_population() {
+        let mut records = pair_trace(0).sessions().to_vec();
+        records[1].user = UserId(7);
+        let store = SessionStore::from_records(&records, 86_400, 2);
+        let _ = Simulator::new(SimConfig::default()).simulate(&store);
+    }
+
+    #[test]
+    fn segmented_run_finish_drains_partial_pushes() {
+        // Feeding only day 0 of a multi-day trace must still replay every
+        // admitted session to completion: finish() drains the machines.
+        let trace = pair_trace(0); // both sessions on day 0
+        let store = SessionStore::from_trace(&trace);
+        let sim = Simulator::new(SimConfig::default());
+        let (day0, watermark) = &batch_schedule(&store, SECS_PER_DAY)[0];
+        assert_eq!(day0.len(), store.len());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        run.push_batch(day0, *watermark);
+        assert_eq!(run.finish(), sim.simulate(&trace));
+    }
+
+    #[test]
+    fn segmented_run_deterministic_across_thread_counts() {
+        let store = SessionStore::from_trace(&tiny_trace());
+        let run_with = |threads: usize| {
+            let sim = Simulator::new(SimConfig {
+                threads,
+                ..Default::default()
+            });
+            simulate_by_day(&sim, &store)
+        };
+        let reference = run_with(1);
+        assert_eq!(reference, run_with(2));
+        assert_eq!(reference, run_with(8));
     }
 }

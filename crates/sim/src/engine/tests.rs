@@ -1,8 +1,7 @@
-//! The engine's unit tests: the entry points end to end, and the run,
-//! the machine and the snapshot round trip through them.
+//! The engine's unit tests: the entry points end to end, the columnar
+//! engine against the row oracle, and the fixtures the tests beside the
+//! run and the snapshot payload share.
 
-use super::machine::MatcherSlot;
-use super::run::{cost_chunks, CHUNKS_PER_WORKER};
 use super::*;
 use crate::online::faults::batch_schedule;
 use consume_local_energy::EnergyParams;
@@ -14,7 +13,8 @@ use consume_local_trace::{
     ContentId, SessionRecord, SimTime, Trace, TraceConfig, TraceGenerator, UserId,
 };
 
-fn tiny_trace() -> Trace {
+/// A generated 0.0003-scale London month.
+pub(crate) fn tiny_trace() -> Trace {
     TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0003).unwrap(), 11)
         .generate()
         .unwrap()
@@ -22,7 +22,7 @@ fn tiny_trace() -> Trace {
 
 /// A hand-built trace: two users, same ISP/exchange/bitrate, overlapping
 /// sessions on one item.
-fn pair_trace(offset_secs: u64) -> Trace {
+pub(crate) fn pair_trace(offset_secs: u64) -> Trace {
     let base = TraceGenerator::new(TraceConfig::london_sep2013().scaled(0.0002).unwrap(), 3)
         .generate()
         .unwrap();
@@ -119,88 +119,6 @@ fn store_source_matches_trace_source() {
     }
 }
 
-/// Checks [`cost_chunks`]' contract on one cost vector.
-fn check_cost_chunks(costs: &[u64], workers: usize) {
-    let offsets = cost_chunks(costs, workers);
-    let total: u64 = costs.iter().sum();
-    let case = format!("{} states, {workers} workers", costs.len());
-    if total == 0 {
-        assert!(offsets.is_empty(), "{case}: zero cost must not fan out");
-        return;
-    }
-    assert_eq!(offsets.first(), Some(&0), "{case}");
-    assert_eq!(offsets.last(), Some(&costs.len()), "{case}");
-    assert!(
-        offsets.windows(2).all(|w| w[0] < w[1]),
-        "{case}: offsets must ascend"
-    );
-    let max_chunks = workers as u64 * CHUNKS_PER_WORKER;
-    assert!(
-        offsets.len() as u64 - 1 <= max_chunks,
-        "{case}: too many chunks"
-    );
-    let target = total.div_ceil(max_chunks);
-    for w in offsets.windows(2) {
-        let chunk = &costs[w[0]..w[1]];
-        let heaviest = *chunk.iter().max().expect("chunks are non-empty");
-        assert!(
-            chunk.iter().sum::<u64>() <= target + heaviest,
-            "{case}: chunk {w:?} overshoots the target {target}"
-        );
-    }
-}
-
-#[test]
-fn cost_chunks_cover_every_state_within_the_bound() {
-    // Zipf-shaped costs with a quiescent tail, the shape a daily push
-    // sees; flat, sparse, single and empty vectors; and a
-    // pseudo-random mix with many zero-cost states.
-    let zipf: Vec<u64> = (1..=400u64).map(|rank| 90_000 / rank).collect();
-    let mut quiet_tail = zipf.clone();
-    quiet_tail.extend([0; 300]);
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mixed: Vec<u64> = (0..777)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if x % 3 == 0 {
-                0
-            } else {
-                x % 1_000
-            }
-        })
-        .collect();
-    let cases = [
-        Vec::new(),
-        vec![0; 9],
-        vec![7],
-        vec![0, 0, 5, 0, 0],
-        vec![1; 1_000],
-        zipf,
-        quiet_tail,
-        mixed,
-    ];
-    for costs in &cases {
-        for workers in [1, 2, 3, 8, 64] {
-            check_cost_chunks(costs, workers);
-        }
-    }
-}
-
-#[test]
-fn cost_chunks_give_head_swarms_chunks_of_their_own() {
-    // Two head swarms above the 2-worker target (1/16 of the total)
-    // each close a chunk alone, ahead of the tail.
-    let mut costs = vec![5_000, 2_000];
-    costs.extend([10; 300]);
-    // (16 chunks of equal count would have put both heads and 17 tail
-    // swarms in the first one: 72 % of the work on one thread.)
-    let offsets = cost_chunks(&costs, 2);
-    assert_eq!(offsets[..3], [0, 1, 2]);
-    check_cost_chunks(&costs, 2);
-}
-
 /// The grouping's packed sort against a plain map from key to the
 /// start-ordered store indices, under every swarm policy preset. Extreme
 /// content and ISP ids fill the packed key's fields to the top.
@@ -250,92 +168,6 @@ fn grouping_equals_a_btreemap_under_every_policy() {
             "{policy:?}"
         );
     }
-}
-
-/// Checks a run's machine index against a walk over every machine: the
-/// index lists each machine once under its key, the live list is
-/// exactly the machines holding active or carried sessions, and the
-/// touched list matches the flags and holds every machine with
-/// unspilled days or a quiescent machine's built matcher.
-fn check_machine_index(run: &SegmentedRun) {
-    assert_eq!(run.index.len(), run.states.len());
-    for (key, &slot) in &run.index {
-        assert_eq!(run.states[slot as usize].key, *key);
-    }
-    let live: Vec<u32> = (0..)
-        .zip(&run.states)
-        .filter(|(_, state)| !state.swarm.is_quiescent())
-        .map(|(slot, _)| slot)
-        .collect();
-    assert_eq!(run.live, live, "live list at {}", run.watermark);
-    let mut listed = vec![false; run.states.len()];
-    for &slot in &run.touched {
-        assert!(!listed[slot as usize], "slot {slot} touched twice");
-        listed[slot as usize] = true;
-    }
-    for (state, listed) in run.states.iter().zip(listed) {
-        assert_eq!(state.touched, listed);
-        let warm =
-            state.swarm.is_quiescent() && matches!(state.swarm.matcher, MatcherSlot::Live(_));
-        assert!(listed || (state.swarm.daily.is_empty() && !warm));
-    }
-}
-
-/// Machines that fall quiescent mid-day stay warm until the next push
-/// that seals a day, which freezes every one of them: after each seal
-/// of a 15-minute schedule no quiescent machine holds a built matcher.
-#[test]
-fn day_seals_freeze_every_quiescent_machine() {
-    let store = SessionStore::from_trace(&tiny_trace());
-    for threads in [1, 2] {
-        let sim = Simulator::new(SimConfig {
-            threads,
-            ..Default::default()
-        });
-        let mut run = sim.begin(store.horizon_secs(), store.population_len());
-        let (mut seals, mut warm) = (0, 0);
-        for (batch, watermark) in batch_schedule(&store, 900) {
-            let spilled = run.spilled_days;
-            run.push_batch(&batch, watermark);
-            check_machine_index(&run);
-            let quiescent_warm = run
-                .states
-                .iter()
-                .filter(|s| {
-                    s.swarm.is_quiescent() && matches!(s.swarm.matcher, MatcherSlot::Live(_))
-                })
-                .count();
-            if run.spilled_days > spilled {
-                seals += 1;
-                assert_eq!(quiescent_warm, 0, "warm quiescent machines at {watermark}");
-            } else {
-                warm += quiescent_warm;
-            }
-        }
-        assert_eq!(seals, store.horizon_secs().div_ceil(SECS_PER_DAY));
-        assert!(warm > 0, "no machine stayed warm between seals");
-        assert_eq!(run.finish(), sim.simulate(&store));
-    }
-}
-
-#[test]
-#[should_panic(expected = "batch sessions must start in [previous watermark, watermark)")]
-fn push_batch_rejects_sessions_past_the_watermark() {
-    let trace = pair_trace(100);
-    let store = SessionStore::from_trace(&trace);
-    let sim = Simulator::new(SimConfig::default());
-    let mut run = sim.begin(store.horizon_secs(), store.population_len());
-    // The second session starts at 100 s, past this watermark.
-    run.push_batch(&store, 50);
-}
-
-#[test]
-#[should_panic(expected = "batch user id 7 is outside the population of 2 users")]
-fn push_batch_rejects_users_outside_the_population() {
-    let mut records = pair_trace(0).sessions().to_vec();
-    records[1].user = UserId(7);
-    let store = SessionStore::from_records(&records, 86_400, 2);
-    let _ = Simulator::new(SimConfig::default()).simulate(&store);
 }
 
 #[test]
@@ -821,35 +653,6 @@ fn trace_stream_matches_monolithic_run() {
 }
 
 #[test]
-fn segmented_run_finish_drains_partial_pushes() {
-    // Feeding only day 0 of a multi-day trace must still replay every
-    // admitted session to completion: finish() drains the machines.
-    let trace = pair_trace(0); // both sessions on day 0
-    let store = SessionStore::from_trace(&trace);
-    let sim = Simulator::new(SimConfig::default());
-    let (day0, watermark) = &batch_schedule(&store, SECS_PER_DAY)[0];
-    assert_eq!(day0.len(), store.len());
-    let mut run = sim.begin(store.horizon_secs(), store.population_len());
-    run.push_batch(day0, *watermark);
-    assert_eq!(run.finish(), sim.simulate(&trace));
-}
-
-#[test]
-fn segmented_run_deterministic_across_thread_counts() {
-    let store = SessionStore::from_trace(&tiny_trace());
-    let run_with = |threads: usize| {
-        let sim = Simulator::new(SimConfig {
-            threads,
-            ..Default::default()
-        });
-        simulate_by_day(&sim, &store)
-    };
-    let reference = run_with(1);
-    assert_eq!(reference, run_with(2));
-    assert_eq!(reference, run_with(8));
-}
-
-#[test]
 fn cache_and_preload_compose() {
     let trace = pair_trace(0);
     let cfg = SimConfig {
@@ -920,115 +723,10 @@ fn sort_key_fallback_surfaces_as_report_warning() {
 
 /// `store` replayed through one run as one batch per day, each
 /// watermarked at its day's end (the online producer's daily tick).
-fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
+pub(crate) fn simulate_by_day(sim: &Simulator, store: &SessionStore) -> SimReport {
     let mut run = sim.begin(store.horizon_secs(), store.population_len());
     for (batch, watermark) in batch_schedule(store, SECS_PER_DAY) {
         run.push_batch(&batch, watermark);
     }
     run.finish()
-}
-
-/// A snapshot taken mid-run must restore into a run that finishes
-/// byte-identically to both the donor and the uninterrupted reference,
-/// across configs that exercise every codec branch: hierarchical and
-/// random matchers, ISP/bitrate splits, edge cache + preload, and
-/// non-trivial defection rates.
-#[test]
-fn checkpoint_roundtrip_resumes_byte_identically() {
-    let store = SessionStore::from_trace(&tiny_trace());
-    let days = batch_schedule(&store, SECS_PER_DAY);
-    let configs = [
-        SimConfig::default(),
-        SimConfig {
-            matcher: MatcherKind::Random,
-            seed: 9,
-            upload: crate::config::UploadModel::AbsoluteBps(600_000),
-            ..Default::default()
-        },
-        SimConfig {
-            preload_fraction: 0.25,
-            edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
-            participation_rate: 0.8,
-            cooperation_rate: 0.9,
-            ..Default::default()
-        },
-    ];
-    for config in configs {
-        let sim = Simulator::new(config);
-        let expect = sim.simulate(&store);
-        let cut = days.len() / 2;
-        let mut run = sim.begin(store.horizon_secs(), store.population_len());
-        for (batch, watermark) in &days[..cut] {
-            run.push_batch(batch, *watermark);
-        }
-        let mut snapshot = Vec::new();
-        run.checkpoint(&mut snapshot).unwrap();
-        let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
-        assert_eq!(resumed.watermark(), run.watermark());
-        for (batch, watermark) in &days[cut..] {
-            run.push_batch(batch, *watermark);
-            resumed.push_batch(batch, *watermark);
-        }
-        assert_eq!(resumed.finish(), expect, "resumed run diverged");
-        assert_eq!(
-            run.finish(),
-            expect,
-            "checkpoint() must not perturb the donor"
-        );
-    }
-}
-
-/// Snapshots are not day-aligned: a checkpoint cut at a mid-day
-/// watermark (live swarms, carried sessions, partially accumulated
-/// daily ledgers) must still resume byte-identically.
-#[test]
-fn checkpoint_at_mid_day_watermark_roundtrips() {
-    let trace = tiny_trace();
-    let store = SessionStore::from_trace(&trace);
-    let sim = Simulator::new(SimConfig::default());
-    let expect = sim.simulate(&store);
-    // 9 000 s ticks never land on a day boundary (86 400 % 9 000 != 0).
-    let schedule = crate::online::faults::batch_schedule(&store, 9_000);
-    let cut = 11; // mid day 1
-    let mut run = sim.begin(store.horizon_secs(), store.population_len());
-    for (batch, watermark) in &schedule[..cut] {
-        run.push_batch(batch, *watermark);
-    }
-    let mut snapshot = Vec::new();
-    run.checkpoint(&mut snapshot).unwrap();
-    drop(run); // the crash
-    let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
-    assert_eq!(resumed.watermark(), schedule[cut - 1].1);
-    for (batch, watermark) in &schedule[cut..] {
-        resumed.push_batch(batch, *watermark);
-    }
-    assert_eq!(resumed.finish(), expect);
-}
-
-/// The snapshot carries the full engine configuration: restoring on a
-/// host with a different default thread count must not change results,
-/// and the restored run keeps the donor's matcher and seed.
-#[test]
-fn snapshot_carries_the_configuration() {
-    let store = SessionStore::from_trace(&tiny_trace());
-    let days = batch_schedule(&store, SECS_PER_DAY);
-    let config = SimConfig {
-        matcher: MatcherKind::Random,
-        seed: 77,
-        threads: 2,
-        ..Default::default()
-    };
-    let sim = Simulator::new(config);
-    let expect = sim.simulate(&store);
-    let mut run = sim.begin(store.horizon_secs(), store.population_len());
-    for (batch, watermark) in &days[..3] {
-        run.push_batch(batch, *watermark);
-    }
-    let mut snapshot = Vec::new();
-    run.checkpoint(&mut snapshot).unwrap();
-    let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
-    for (batch, watermark) in &days[3..] {
-        resumed.push_batch(batch, *watermark);
-    }
-    assert_eq!(resumed.finish(), expect);
 }

@@ -152,9 +152,9 @@ fn sparse_checkpoint_cadences_still_recover_exactly() {
 fn snapshot_bytes_do_not_depend_on_the_batch_schedule() {
     const WATERMARK: u64 = 15 * DAY;
     const PINNED: [u64; 3] = [
-        0x0cd5_5d1f_cb42_7df0,
-        0x3487_fc10_379b_4453,
-        0x52c7_675e_b601_2d4b,
+        0x93ea_6418_b9a4_af5c,
+        0x5fbf_6871_ef97_9e49,
+        0xad73_f7b8_5789_8622,
     ];
     let store = short_store(0.0003, 23, 30);
     for (&threads, pinned) in THREAD_COUNTS.iter().zip(PINNED) {
@@ -239,7 +239,10 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         checkpoint::resume_latest(&path),
-        Err(CheckpointError::UnsupportedVersion { supported: 4, .. })
+        Err(CheckpointError::UnsupportedVersion {
+            supported: checkpoint::SNAPSHOT_VERSION,
+            ..
+        })
     ));
 
     // Bad magic.
