@@ -71,8 +71,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CLSNAP\r\n";
 /// watched and uploaded bytes instead of a slot into that list. Version 5
 /// writes a frozen day as the report's point: its day, its demand bytes
 /// and its capacity's `f64` bits (20 bytes instead of 28), so a restore
-/// inverts no capacity.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// inverts no capacity. Version 6 drops each swarm's carry buffer (a pause
+/// admits the sessions it would have held) and writes an active session as
+/// one record of its inputs: end, user, watched and uploaded bytes,
+/// bitrate and peer (41 bytes instead of 77 across ten column runs); the
+/// restore derives its window quantities as admission does.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Sanity bound on the declared payload length (1 GiB). A corrupted header
 /// cannot make the reader allocate unbounded memory: real snapshots are

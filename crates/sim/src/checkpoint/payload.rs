@@ -11,7 +11,6 @@
 //! `put_*`, and bounds the element count by the payload bytes left
 //! ([`SnapshotReader::take_len_of`]) before anything is reserved for it.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 
 use consume_local_swarm::{MatcherKind, Peer, SwarmKey, SwarmPolicy};
@@ -30,10 +29,10 @@ impl SegmentedRun {
     /// Serialises the run's complete resumable state as one versioned
     /// snapshot (see [`crate::checkpoint`] for the envelope): configuration
     /// and horizon, the per-user totals (one row per user, in user id
-    /// order), run-level counters and every swarm machine — active-set
-    /// columns with their per-session bytes, carried sessions, matcher
-    /// state word and accumulated ledgers. [`Simulator::resume`] inverts
-    /// it; the restored run continues byte-identically.
+    /// order), run-level counters and every swarm machine — one record per
+    /// active session (its inputs and its bytes so far), matcher state
+    /// word and accumulated ledgers. [`Simulator::resume`] inverts it; the
+    /// restored run continues byte-identically.
     ///
     /// Call at a batch boundary (between [`SegmentedRun::push_batch`]
     /// calls) — mid-batch there is no coherent state to capture.
@@ -76,11 +75,11 @@ impl Simulator {
     /// schedule or thread count) yields the exact report of the
     /// uninterrupted run.
     ///
-    /// Derived state the snapshot omits — matcher scratch, cached
-    /// membership sums, the edge-cache membership bit — is recomputed here;
-    /// none of it affects outcomes (pinned by `tests/recovery.rs`). A
-    /// machine with no active or carried sessions comes back dormant, as
-    /// the donor left it.
+    /// Derived state the snapshot omits — each active session's window
+    /// quantities, matcher scratch, cached membership sums, the edge-cache
+    /// membership bit — is recomputed here; none of it affects outcomes
+    /// (pinned by `tests/recovery.rs`). A machine with no active session
+    /// comes back dormant, as the donor left it.
     ///
     /// # Errors
     ///
@@ -308,8 +307,8 @@ fn put_cell(w: &mut SnapshotWriter, (day, isp, ledger): &DayCell) {
 }
 
 /// The smallest encoded swarm: key 6, session and frozen-day counts 16,
-/// and a machine with no day, session or carried session 168.
-const SWARM_BYTES: u64 = 6 + 16 + 168;
+/// and a machine with no day or session 160.
+const SWARM_BYTES: u64 = 6 + 16 + 160;
 
 fn put_state(w: &mut SnapshotWriter, state: &SwarmState) {
     put_key(w, &state.key);
@@ -425,39 +424,8 @@ fn put_swarm(w: &mut SnapshotWriter, s: &SwarmSim) {
         put_daily(w, daily);
     }
     w.put_len(s.active.len());
-    for &v in &s.active.ends {
-        w.put_u64(v);
-    }
-    for &v in &s.active.users {
-        w.put_u32(v);
-    }
-    for &v in &s.active.watched {
-        w.put_u64(v);
-    }
-    for &v in &s.active.uploaded {
-        w.put_u64(v);
-    }
-    for p in &s.active.peers {
-        put_peer(w, p);
-    }
-    for &v in &s.active.full_demands {
-        w.put_u64(v);
-    }
-    for &v in &s.active.demands {
-        w.put_u64(v);
-    }
-    for &v in &s.active.preloads {
-        w.put_u64(v);
-    }
-    for &v in &s.active.needs {
-        w.put_u64(v);
-    }
-    for &v in &s.active.budgets {
-        w.put_u64(v);
-    }
-    w.put_len(s.carry.len());
-    for p in &s.carry {
-        put_carried(w, p);
+    for k in 0..s.active.len() {
+        put_active(w, &s.active, k);
     }
 }
 
@@ -469,18 +437,18 @@ fn put_daily(w: &mut SnapshotWriter, (day, ledger): &(u32, ByteLedger)) {
     put_ledger(w, ledger);
 }
 
-/// An encoded carried session: start 8, end 8, user 4, bitrate 4, ISP 1,
-/// exchange 4, PoP 4.
-const CARRIED_BYTES: u64 = 33;
+/// An encoded active session: end 8, user 4, watched bytes 8, uploaded
+/// bytes 8, bitrate 4, peer 9. Its window quantities are not written: the
+/// restore derives them as admission does.
+const ACTIVE_BYTES: u64 = 41;
 
-fn put_carried(w: &mut SnapshotWriter, p: &PendingSession) {
-    w.put_u64(p.start);
-    w.put_u64(p.end);
-    w.put_u32(p.user);
-    w.put_u32(p.bitrate_bps);
-    w.put_u8(p.isp.0);
-    w.put_u32(p.location.exchange().0);
-    w.put_u32(p.location.pop().0);
+fn put_active(w: &mut SnapshotWriter, active: &ActiveSet, k: usize) {
+    w.put_u64(active.ends[k]);
+    w.put_u32(active.users[k]);
+    w.put_u64(active.watched[k]);
+    w.put_u64(active.uploaded[k]);
+    w.put_u32(active.bitrates[k]);
+    put_peer(w, &active.peers[k]);
 }
 
 /// Reads a user id, rejecting one that does not index the run's per-user
@@ -526,69 +494,28 @@ fn take_swarm(
         daily.push((day, take_ledger(r)?));
     }
 
-    let active_len = r.take_len("active set")?;
+    let active_len = r.take_len_of(ACTIVE_BYTES, "active set")?;
     let mut active = ActiveSet::default();
     for _ in 0..active_len {
-        active.ends.push(r.take_u64("active ends")?);
-    }
-    for _ in 0..active_len {
-        active.users.push(take_user(r, population_len)?);
-    }
-    for _ in 0..active_len {
-        active.watched.push(r.take_u64("active watched bytes")?);
-    }
-    for _ in 0..active_len {
-        active.uploaded.push(r.take_u64("active uploaded bytes")?);
-    }
-    for _ in 0..active_len {
-        active.peers.push(take_peer(r)?);
-    }
-    for _ in 0..active_len {
-        active.full_demands.push(r.take_u64("active demands")?);
-    }
-    for _ in 0..active_len {
-        active.demands.push(r.take_u64("active demands")?);
-    }
-    for _ in 0..active_len {
-        active.preloads.push(r.take_u64("active preloads")?);
-    }
-    for _ in 0..active_len {
-        active.needs.push(r.take_u64("active needs")?);
-    }
-    for _ in 0..active_len {
-        active.budgets.push(r.take_u64("active budgets")?);
-    }
-    active.min_end = active.ends.iter().copied().min().unwrap_or(u64::MAX);
-
-    let carry_len = r.take_len_of(CARRIED_BYTES, "carry buffer")?;
-    let mut carry = VecDeque::with_capacity(carry_len);
-    for _ in 0..carry_len {
-        let start = r.take_u64("carry start")?;
-        let end = r.take_u64("carry end")?;
+        let end = r.take_u64("active end")?;
         let user = take_user(r, population_len)?;
-        let bitrate_bps = r.take_u32("carry bitrate")?;
-        let isp = IspId(r.take_u8("carry isp")?);
-        let exchange = ExchangeId(r.take_u32("carry exchange")?);
-        let pop = PopId(r.take_u32("carry pop")?);
-        if carry
-            .back()
-            .is_some_and(|p: &PendingSession| p.start > start)
-        {
-            return Err(CheckpointError::Corrupt("carry buffer out of order"));
-        }
-        carry.push_back(PendingSession {
-            start,
+        let watched = r.take_u64("active watched bytes")?;
+        let uploaded = r.take_u64("active uploaded bytes")?;
+        let bitrate_bps = r.take_u32("active bitrate")?;
+        let peer = take_peer(r)?;
+        // No skip at the boundary: a session that ends by it retires with
+        // its bytes at the next window, as it would have in the donor.
+        let session = PendingSession {
             end,
             user,
             bitrate_bps,
-            isp,
-            location: UserLocation::from_raw_parts(exchange, pop),
-        });
+            peer,
+        };
+        active.push(sim, session, watched, uploaded);
     }
 
     let mut swarm = SwarmSim::new(sim, key, t, upload_ratio);
     swarm.active = active;
-    swarm.carry = carry;
     swarm.ledger = ledger;
     swarm.daily = daily;
     swarm.degradation = degradation;
@@ -644,18 +571,6 @@ mod tests {
     /// A write of payload fields with the codec.
     type Put<'a> = &'a dyn Fn(&mut SnapshotWriter);
 
-    /// A 600-second session of user 0 carried from `start`.
-    fn pending(start: u64) -> PendingSession {
-        PendingSession {
-            start,
-            end: start + 600,
-            user: 0,
-            bitrate_bps: 1_500_000,
-            isp: IspId(0),
-            location: UserLocation::from_raw_parts(ExchangeId(0), PopId(0)),
-        }
-    }
-
     /// The smallest swarm key: content only.
     const BARE_KEY: SwarmKey = SwarmKey {
         content: ContentId(0),
@@ -680,14 +595,24 @@ mod tests {
             capacity: 0.0,
             demand_bytes: 0,
         };
-        let carried = pending(0);
+        let mut active = ActiveSet::default();
+        let session = PendingSession {
+            end: 0,
+            user: 0,
+            bitrate_bps: 0,
+            peer: Peer {
+                isp: IspId(0),
+                location: UserLocation::from_raw_parts(ExchangeId(0), PopId(0)),
+            },
+        };
+        active.push(&sim, session, 0, 0);
         let ledger = ByteLedger::new();
         let cases: [(u64, Put); 5] = [
             (CELL_BYTES, &|w| put_cell(w, &(0, None, ledger))),
             (SWARM_BYTES, &|w| put_state(w, &state)),
             (FROZEN_DAY_BYTES, &|w| put_frozen_day(w, &day)),
             (DAILY_BYTES, &|w| put_daily(w, &(0, ledger))),
-            (CARRIED_BYTES, &|w| put_carried(w, &carried)),
+            (ACTIVE_BYTES, &|w| put_active(w, &active, 0)),
         ];
         for (size, put) in cases {
             let mut w = SnapshotWriter::new();
@@ -699,7 +624,7 @@ mod tests {
     /// Each structural rejection of the decoder, by its exact message. A
     /// case either forges a payload with the codec's own writers or
     /// tampers with the private state of a run restored from a mid-day
-    /// snapshot (live machines, spilled and frozen days) before it
+    /// snapshot (spilled and frozen days, open daily ledgers) before it
     /// checkpoints again.
     #[test]
     fn decoder_rejects_each_structural_violation_by_name() {
@@ -737,7 +662,7 @@ mod tests {
         // with a one-day horizon, no users and nothing spilled, then one
         // swarm with the smallest key and a machine of 18 zero words
         // (matcher word, window boundary, upload ratio, ledger and
-        // degradation), with no day and no active session.
+        // degradation), with no day.
         let steps: [Put; 5] = [
             &|w| {
                 put_config(w, &SimConfig::default());
@@ -759,10 +684,7 @@ mod tests {
                 w.put_len(0);
                 (0..18).for_each(|_| w.put_u64(0));
             },
-            &|w| {
-                w.put_len(0);
-                w.put_len(0);
-            },
+            &|w| w.put_len(0),
         ];
         // The `at`-th count claims one element of `size` bytes more than
         // the 400 bytes left after it hold, though no more than one per
@@ -853,14 +775,6 @@ mod tests {
                     daily.push(daily[0]);
                 }),
             ),
-            (
-                "carry buffer out of order",
-                tampered(&|run| {
-                    let carry = &mut run.states[0].swarm.carry;
-                    carry.push_back(pending(run.watermark + 20));
-                    carry.push_back(pending(run.watermark + 10));
-                }),
-            ),
             ("sequence length out of bounds", overclaimed(0, CELL_BYTES)),
             ("sequence length out of bounds", overclaimed(1, SWARM_BYTES)),
             (
@@ -870,7 +784,7 @@ mod tests {
             ("sequence length out of bounds", overclaimed(3, DAILY_BYTES)),
             (
                 "sequence length out of bounds",
-                overclaimed(4, CARRIED_BYTES),
+                overclaimed(4, ACTIVE_BYTES),
             ),
         ];
         assert!(Simulator::resume(&mut pristine.as_slice()).is_ok());
@@ -887,7 +801,10 @@ mod tests {
     /// byte-identically to both the donor and the uninterrupted reference,
     /// across configs that exercise every codec branch: hierarchical and
     /// random matchers, ISP/bitrate splits, edge cache + preload, and
-    /// non-trivial defection rates.
+    /// non-trivial defection rates. Each run holds active sessions at the
+    /// cut, and the restore derives their window quantities under preload,
+    /// partial participation and the absolute upload model: the resumed
+    /// run's active columns equal the donor's, machine by machine.
     #[test]
     fn checkpoint_roundtrip_resumes_byte_identically() {
         let store = SessionStore::from_trace(&tiny_trace());
@@ -916,10 +833,16 @@ mod tests {
             for (batch, watermark) in &days[..cut] {
                 run.push_batch(batch, *watermark);
             }
+            let active: usize = run.states.iter().map(|s| s.swarm.active.len()).sum();
+            assert!(active > 0, "no active session at the cut");
             let mut snapshot = Vec::new();
             run.checkpoint(&mut snapshot).unwrap();
             let mut resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
             assert_eq!(resumed.watermark(), run.watermark());
+            for (key, &slot) in &run.index {
+                let restored = &resumed.states[resumed.index[key] as usize].swarm;
+                assert_eq!(restored.active, run.states[slot as usize].swarm.active);
+            }
             for (batch, watermark) in &days[cut..] {
                 run.push_batch(batch, *watermark);
                 resumed.push_batch(batch, *watermark);
@@ -934,7 +857,7 @@ mod tests {
     }
 
     /// Snapshots are not day-aligned: a checkpoint cut at a mid-day
-    /// watermark (live swarms, carried sessions, partially accumulated
+    /// watermark (live swarms with active sessions, partially accumulated
     /// daily ledgers) must still resume byte-identically.
     #[test]
     fn checkpoint_at_mid_day_watermark_roundtrips() {
@@ -944,11 +867,12 @@ mod tests {
         let expect = sim.simulate(&store);
         // 9 000 s ticks never land on a day boundary (86 400 % 9 000 != 0).
         let schedule = crate::online::faults::batch_schedule(&store, 9_000);
-        let cut = 11; // mid day 1
+        let cut = 18; // day 1 at 21:00
         let mut run = sim.begin(store.horizon_secs(), store.population_len());
         for (batch, watermark) in &schedule[..cut] {
             run.push_batch(batch, *watermark);
         }
+        assert!(!run.live.is_empty(), "no live machine at the cut");
         let mut snapshot = Vec::new();
         run.checkpoint(&mut snapshot).unwrap();
         drop(run); // the crash

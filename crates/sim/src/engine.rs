@@ -27,7 +27,11 @@
 //! The engine replays the **columnar** [`SessionStore`]: grouping reads the
 //! content/ISP/bitrate columns, each sub-swarm drives the store's sliding
 //! active-window cursor over the start-sorted columns, and only the columns
-//! a pass touches move through the cache.
+//! a pass touches move through the cache. A session enters its swarm's
+//! active set at the first window boundary at or after its start, or at
+//! the pause when a batch's watermark falls before that boundary; either
+//! way, and on a snapshot restore, its window quantities come from one
+//! derivation of its bitrate, its user and the configuration.
 //!
 //! Every way of feeding sessions to the engine goes through one entry
 //! point: [`Simulator::simulate`] consumes any [`SessionSource`] — a whole

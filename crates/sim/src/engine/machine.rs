@@ -1,13 +1,10 @@
 //! The per-swarm window-loop machine: [`SwarmSim`] with its columnar
-//! [`ActiveSet`], the sessions it carries across a batch boundary and its
-//! matcher slot. It advances one sub-swarm's Δτ windows, replays
-//! membership runs in closed form and books each window's ledger.
-
-use std::collections::VecDeque;
+//! [`ActiveSet`] and its matcher slot. It advances one sub-swarm's Δτ
+//! windows, replays membership runs in closed form and books each window's
+//! ledger.
 
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Matcher, Peer, SwarmKey};
-use consume_local_topology::{IspId, UserLocation};
 use consume_local_trace::{SessionStore, SimTime};
 
 use super::{
@@ -24,7 +21,7 @@ use crate::report::{Degradation, SwarmDay};
 /// `Vec::retain`) and hands each retired session's [`UserBytes`] out, and
 /// `min_end` lets a window skip the retire scan when no active session can
 /// have ended yet.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct ActiveSet {
     /// Session end times in seconds.
     pub(crate) ends: Vec<u64>,
@@ -34,6 +31,8 @@ pub(crate) struct ActiveSet {
     pub(crate) watched: Vec<u64>,
     /// Upload bytes each session has been credited so far.
     pub(crate) uploaded: Vec<u64>,
+    /// Each session's stream bitrate in bits per second.
+    pub(crate) bitrates: Vec<u32>,
     /// Matcher input: peer identities.
     pub(crate) peers: Vec<Peer>,
     /// Full per-window demand `β·Δτ/8` in bytes, preload included.
@@ -58,6 +57,7 @@ impl Default for ActiveSet {
             users: Vec::new(),
             watched: Vec::new(),
             uploaded: Vec::new(),
+            bitrates: Vec::new(),
             peers: Vec::new(),
             full_demands: Vec::new(),
             demands: Vec::new(),
@@ -78,29 +78,39 @@ impl ActiveSet {
         self.ends.is_empty()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        end: u64,
-        user: u32,
-        peer: Peer,
-        full_demand: u64,
-        demand: u64,
-        preload: u64,
-        need: u64,
-        budget: u64,
-    ) {
-        self.ends.push(end);
-        self.users.push(user);
-        self.watched.push(0);
-        self.uploaded.push(0);
-        self.peers.push(peer);
+    /// Appends session `p` with the bytes it has watched and been credited
+    /// so far: the one derivation of a session's window quantities, for a
+    /// batch's session and a restored one alike. They are fixed for the
+    /// whole session (bitrate and Δτ do not change), so they are computed
+    /// once here instead of once per window. A preloaded fraction of every
+    /// session's bytes bypasses the swarm (§VI preloading extension; 0 by
+    /// default).
+    pub(crate) fn push(&mut self, sim: &Simulator, p: PendingSession, watched: u64, uploaded: u64) {
+        let dt = sim.config.window_secs;
+        let full_demand = u64::from(p.bitrate_bps) * dt / 8;
+        let preload = (full_demand as f64 * sim.config.preload_fraction) as u64;
+        let demand = full_demand - preload;
+        // Non-participating users never upload (NetSession-style partial
+        // participation); their own peer-receipt cap is based on the
+        // swarm's typical uplink, not their zero one.
+        let nominal_budget = sim.config.upload.budget_bytes(p.bitrate_bps, dt);
+        let budget = if participates(p.user, sim.config.participation_rate) {
+            nominal_budget
+        } else {
+            0
+        };
+        self.ends.push(p.end);
+        self.users.push(p.user);
+        self.watched.push(watched);
+        self.uploaded.push(uploaded);
+        self.bitrates.push(p.bitrate_bps);
+        self.peers.push(p.peer);
         self.full_demands.push(full_demand);
         self.demands.push(demand);
         self.preloads.push(preload);
-        self.needs.push(need);
+        self.needs.push(demand.min(nominal_budget));
         self.budgets.push(budget);
-        self.min_end = self.min_end.min(end);
+        self.min_end = self.min_end.min(p.end);
     }
 
     /// Drops every session with `end <= t`, preserving arrival order —
@@ -123,6 +133,7 @@ impl ActiveSet {
                     self.users[w] = self.users[r];
                     self.watched[w] = self.watched[r];
                     self.uploaded[w] = self.uploaded[r];
+                    self.bitrates[w] = self.bitrates[r];
                     self.peers[w] = self.peers[r];
                     self.full_demands[w] = self.full_demands[r];
                     self.demands[w] = self.demands[r];
@@ -138,6 +149,7 @@ impl ActiveSet {
         self.users.truncate(w);
         self.watched.truncate(w);
         self.uploaded.truncate(w);
+        self.bitrates.truncate(w);
         self.peers.truncate(w);
         self.full_demands.truncate(w);
         self.demands.truncate(w);
@@ -149,19 +161,15 @@ impl ActiveSet {
     }
 }
 
-/// A session queued for admission but not yet reached by its swarm's window
-/// loop when a day segment ended: everything the admission path needs,
-/// materialised so the segment's columns can be dropped. At most one
-/// window's worth of sessions per swarm is ever carried (plus, for window
-/// lengths beyond a day, the windows the boundary overran).
+/// A session on its way into the active set, from a batch row or a
+/// snapshot record: what [`ActiveSet::push`] derives its window quantities
+/// from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingSession {
-    pub(crate) start: u64,
     pub(crate) end: u64,
     pub(crate) user: u32,
     pub(crate) bitrate_bps: u32,
-    pub(crate) isp: IspId,
-    pub(crate) location: UserLocation,
+    pub(crate) peer: Peer,
 }
 
 /// The matcher slot of a [`SwarmSim`]: a live machine owns its built
@@ -200,10 +208,10 @@ impl MatcherSlot {
 ///
 /// A one-batch source drives it over the whole store in one
 /// [`SwarmSim::advance`] call; [`SegmentedRun`](super::SegmentedRun)
-/// drives the same machine one batch at a time. Because a pause/resume
-/// changes neither the active set, the matcher state, the cached
-/// membership totals nor the window boundary — and sessions unreached at a
-/// boundary are carried forward in start order — the two schedules produce
+/// drives the same machine one batch at a time. A pause admits the batch's
+/// unreached sessions exactly as the next call's first window would, and
+/// a resume changes neither the active set, the matcher state, the cached
+/// membership totals nor the window boundary, so the two schedules produce
 /// byte-identical outputs (pinned by `tests/segmented.rs`).
 ///
 /// The active set is fully columnar ([`ActiveSet`]): its peer/need/budget
@@ -229,9 +237,6 @@ pub(crate) struct SwarmSim {
     pub(crate) active: ActiveSet,
     /// The next window boundary to process (always a multiple of Δτ).
     pub(crate) t: SimTime,
-    /// Sessions carried across a segment boundary, in start order; always
-    /// ahead of (or equal to) `t` and behind every later segment's starts.
-    pub(crate) carry: VecDeque<PendingSession>,
     pub(crate) ledger: ByteLedger,
     pub(crate) daily: Vec<(u32, ByteLedger)>,
     pub(crate) upload_ratio: f64,
@@ -275,7 +280,6 @@ impl SwarmSim {
             matcher_seed,
             active: ActiveSet::default(),
             t: SimTime(t),
-            carry: VecDeque::new(),
             ledger: ByteLedger::new(),
             daily: Vec::new(),
             upload_ratio,
@@ -296,51 +300,23 @@ impl SwarmSim {
         }
     }
 
-    /// Admits one session into the active set (skipping sessions that end
-    /// by the current boundary). Per-session window quantities are fixed
-    /// for the whole session (bitrate and Δτ do not change), so they are
-    /// computed once here instead of once per window. A preloaded fraction
-    /// of every session's bytes bypasses the swarm (§VI preloading
-    /// extension; 0 by default).
+    /// Admits one session into the active set with no bytes yet, skipping
+    /// a session that ends by the current boundary.
     fn admit(&mut self, sim: &Simulator, p: PendingSession) {
-        if p.end <= self.t.as_secs() {
-            return;
+        if p.end > self.t.as_secs() {
+            self.active.push(sim, p, 0, 0);
         }
-        let dt = sim.config.window_secs;
-        let full_demand = u64::from(p.bitrate_bps) * dt / 8;
-        let preload = (full_demand as f64 * sim.config.preload_fraction) as u64;
-        let demand = full_demand - preload;
-        // Non-participating users never upload (NetSession-style partial
-        // participation); their own peer-receipt cap is based on the
-        // swarm's typical uplink, not their zero one.
-        let nominal_budget = sim.config.upload.budget_bytes(p.bitrate_bps, dt);
-        let budget = if participates(p.user, sim.config.participation_rate) {
-            nominal_budget
-        } else {
-            0
-        };
-        self.active.push(
-            p.end,
-            p.user,
-            Peer {
-                isp: p.isp,
-                location: p.location,
-            },
-            full_demand,
-            demand,
-            preload,
-            demand.min(nominal_budget),
-            budget,
-        );
     }
 
     /// Runs the window loop over `indices` (a start-ordered index subset of
     /// `store` — one segment's sessions for this swarm, or the whole
     /// store), processing every window boundary strictly below `limit` that
-    /// the supplied sessions cover, and pausing at `limit` with unreached
-    /// sessions moved into the carry buffer. Pass `limit = u64::MAX` for a
-    /// single full-horizon pass. Sessions that leave the active set append
-    /// their bytes to `retired`.
+    /// the supplied sessions cover, and pausing at `limit`. The sessions
+    /// the pause leaves unreached all start below `limit`, so the next
+    /// call's first window, at the same boundary, would admit them all:
+    /// the pause admits them instead. Pass `limit = u64::MAX` for a single
+    /// full-horizon pass. Sessions that leave the active set append their
+    /// bytes to `retired`.
     ///
     /// The first window of each membership run — after an admission or a
     /// retirement, and the first window of every call, since a batch
@@ -368,12 +344,13 @@ impl SwarmSim {
         let isps_col = store.isp();
         let locations_col = store.location();
         let pending_of = |i: usize| PendingSession {
-            start: starts_col[i],
             end: starts_col[i] + u64::from(durations_col[i]),
             user: users_col[i],
             bitrate_bps: devices_col[i].bitrate_bps(),
-            isp: isps_col[i],
-            location: locations_col[i],
+            peer: Peer {
+                isp: isps_col[i],
+                location: locations_col[i],
+            },
         };
         // The store's sliding cursor admits each session exactly once as
         // the window boundary crosses its start.
@@ -387,34 +364,24 @@ impl SwarmSim {
             if t >= horizon {
                 // Windows stop at the horizon; whatever the cursor still
                 // holds can never be replayed (same as the monolithic loop
-                // exiting), so there is nothing to carry.
+                // exiting).
                 return;
             }
             if t >= limit {
-                // Window `t` belongs to the next segment's pass: stash the
-                // segment's unreached sessions before its columns go away.
-                let carry = &mut self.carry;
-                cursor.admit_until(u64::MAX, |i| carry.push_back(pending_of(i)));
+                // Window `t` belongs to the next call, whose first window
+                // would admit every session the cursor still holds (each
+                // starts below `limit`): admit them here, in start order,
+                // while the batch's columns are at hand.
+                let len_before_admit = self.active.len();
+                cursor.admit_until(u64::MAX, |i| self.admit(sim, pending_of(i)));
+                self.sums_stale |= self.active.len() != len_before_admit;
                 return;
             }
             self.sums_stale |= self.active.retire_ended(t, retired);
             let len_before_admit = self.active.len();
-            // Carried sessions first: their starts precede every session of
-            // the current segment, so admission order stays start-ordered.
-            while let Some(p) = self.carry.front().copied() {
-                if p.start > t {
-                    break;
-                }
-                self.carry.pop_front();
-                self.admit(sim, p);
-            }
             cursor.admit_until(t, |i| self.admit(sim, pending_of(i)));
             self.sums_stale |= self.active.len() != len_before_admit;
-            let next_start = self
-                .carry
-                .front()
-                .map(|p| p.start)
-                .or_else(|| cursor.next_start_secs());
+            let next_start = cursor.next_start_secs();
             if self.active.is_empty() {
                 let Some(next_start) = next_start else {
                     // Nothing active and nothing queued: paused (more
@@ -687,17 +654,17 @@ impl SwarmSim {
         }
     }
 
-    /// Whether the machine neither holds active/carried sessions nor can
-    /// receive any in the current segment — nothing to advance.
+    /// Whether the machine holds no active session: nothing to advance
+    /// until a batch brings it one.
     pub(crate) fn is_quiescent(&self) -> bool {
-        self.active.is_empty() && self.carry.is_empty()
+        self.active.is_empty()
     }
 
     /// What [`cost_chunks`](super::run::cost_chunks) charges for advancing
     /// the machine over a batch that brings it `new_sessions` sessions: one
-    /// for the visit plus every session it admits, holds active or carries.
+    /// for the visit plus every session it admits or holds active.
     pub(super) fn cost(&self, new_sessions: usize) -> u64 {
-        (1 + new_sessions + self.active.len() + self.carry.len()) as u64
+        (1 + new_sessions + self.active.len()) as u64
     }
 
     /// Compacts a quiescent machine to its dormant form: window-loop
@@ -717,7 +684,6 @@ impl SwarmSim {
             word: m.checkpoint_word(),
         };
         self.active = ActiveSet::default();
-        self.carry = VecDeque::new();
         self.outcome = MatchOutcome::default();
         self.needs_flaked = Vec::new();
         self.cycle_ledgers = Vec::new();
@@ -744,7 +710,6 @@ impl std::fmt::Debug for SwarmSim {
         f.debug_struct("SwarmSim")
             .field("t", &self.t)
             .field("active", &self.active.len())
-            .field("carry", &self.carry.len())
             .finish_non_exhaustive()
     }
 }

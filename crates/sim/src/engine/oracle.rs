@@ -1,7 +1,7 @@
 //! The test-only row oracle: a reference engine that keeps the pre-SoA
 //! row-shaped window loop and matches every window, around production's
-//! grouping, day spill and merge. The columnar engine is property-tested
-//! against it (`engine::tests::soa_properties`).
+//! grouping, day spill and merge. The columnar engine is tested against it
+//! here, on a generated trace and on property-generated sessions.
 
 use consume_local_swarm::matching::MatchOutcome;
 use consume_local_swarm::{Peer, SwarmKey};
@@ -274,5 +274,216 @@ impl Simulator {
             .map(|(u, (w, up))| (u, w, up))
             .collect();
         (out, cells, users)
+    }
+}
+
+/// The columnar engine against the row oracle.
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::engine::tests::tiny_trace;
+    use consume_local_swarm::{MatcherKind, SwarmPolicy};
+    use consume_local_topology::{ExchangeId, IspId};
+    use consume_local_trace::device::DeviceClass;
+    use consume_local_trace::{ContentId, SessionRecord, UserId};
+
+    #[test]
+    fn soa_active_set_matches_row_reference_on_generated_trace() {
+        // The columnar window loop against the retained row-based oracle on
+        // a real generated trace, across matchers and the config knobs that
+        // feed the active set (preload, participation, cache).
+        let trace = tiny_trace();
+        let store = SessionStore::from_trace(&trace);
+        let configs = [
+            SimConfig::default(),
+            SimConfig {
+                matcher: MatcherKind::Random,
+                ..Default::default()
+            },
+            SimConfig {
+                preload_fraction: 0.3,
+                participation_rate: 0.5,
+                edge_cache: Some(crate::config::EdgeCache { top_items: 2 }),
+                window_secs: 30,
+                ..Default::default()
+            },
+            SimConfig {
+                cooperation_rate: 0.5,
+                ..Default::default()
+            },
+        ];
+        for cfg in configs {
+            let sim = Simulator::new(cfg);
+            assert_eq!(sim.simulate(&store), sim.run_store_rows(&store));
+        }
+    }
+
+    mod soa_properties {
+        use super::*;
+        use consume_local_topology::IspTopology;
+        use proptest::prelude::*;
+
+        /// Random session records over a tiny world: 40 users across 2
+        /// ISPs / 8 exchanges, 6 items, a 2-day horizon, devices drawn from
+        /// the real mix. Small enough that swarms overlap heavily, large
+        /// enough to exercise admit/retire churn and the idle-gap jump.
+        /// Starts run 2 h past the horizon, so both paths meet sessions
+        /// they must leave out.
+        fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+            let record = (
+                0u32..40,                 // user
+                0u32..6,                  // content
+                0u64..2 * 86_400 + 7_200, // start
+                60u32..5_000,             // duration
+                0usize..5,                // device (MIX index)
+                0u8..2,                   // isp
+                0u32..8,                  // exchange
+            )
+                .prop_map(|(user, content, start, duration, device, isp, exchange)| {
+                    let topo = IspTopology::new(8, 2).unwrap();
+                    SessionRecord {
+                        user: UserId(user),
+                        content: ContentId(content),
+                        start: SimTime(start),
+                        duration_secs: duration,
+                        device: DeviceClass::MIX[device].0,
+                        isp: IspId(isp),
+                        location: topo.location_of(ExchangeId(exchange)),
+                    }
+                });
+            proptest::collection::vec(record, 1..60)
+        }
+
+        proptest! {
+            #[test]
+            fn prop_soa_and_row_paths_agree(
+                records in records_strategy(),
+                matcher_pick in 0u8..2,
+                window_secs in 5u64..600,
+                participation_pct in 30u64..=100,
+                cooperation_pct in 40u64..=100,
+            ) {
+                let store = SessionStore::from_records(&records, 2 * 86_400, 40);
+                let cfg = SimConfig {
+                    matcher: if matcher_pick == 1 {
+                        MatcherKind::Random
+                    } else {
+                        MatcherKind::Hierarchical
+                    },
+                    window_secs,
+                    participation_rate: participation_pct as f64 / 100.0,
+                    cooperation_rate: cooperation_pct as f64 / 100.0,
+                    ..Default::default()
+                };
+                let sim = Simulator::new(cfg);
+                let soa = sim.simulate(&store);
+                let rows = sim.run_store_rows(&store);
+                prop_assert_eq!(soa, rows);
+            }
+
+            /// Replayed membership runs against the row oracle, which
+            /// matches every window: long sessions on a world of 2 items
+            /// and 4 exchanges give multi-peer runs that span many upload
+            /// rotation cycles and cross midnight, and a random batch
+            /// schedule pauses runs mid-cycle. Partial participation and
+            /// unsplit swarms (mixed ISPs and bitrates) make the cycle's
+            /// window ledgers differ by rotation, not only its uploads. At
+            /// a random batch boundary the run is checkpointed and resumed
+            /// from the snapshot, so the per-user rows the oracle keeps by
+            /// itself also pin the snapshot's per-session and per-user
+            /// bytes. The oracle's report does not depend on the thread
+            /// count, so each cooperation rate computes it once.
+            #[test]
+            fn prop_replayed_runs_match_row_oracle_under_any_batch_schedule(
+                records in long_sessions_strategy(),
+                cuts in proptest::collection::vec(0u64..LONG_HORIZON, 0..8),
+                resume_pick in 0usize..9,
+                window_secs in 10u64..120,
+                cooperation_pct in 50u64..100,
+                participation_pct in 30u64..=100,
+                matcher_pick in 0u8..2,
+                split in 0u8..2,
+            ) {
+                let store = SessionStore::from_records(&records, LONG_HORIZON, 12);
+                let mut watermarks = cuts;
+                watermarks.sort_unstable();
+                watermarks.push(LONG_HORIZON);
+                let resume_at = resume_pick % watermarks.len();
+                for cooperation_rate in [1.0, cooperation_pct as f64 / 100.0] {
+                    let config = |threads| SimConfig {
+                        matcher: if matcher_pick == 1 {
+                            MatcherKind::Random
+                        } else {
+                            MatcherKind::Hierarchical
+                        },
+                        window_secs,
+                        cooperation_rate,
+                        participation_rate: participation_pct as f64 / 100.0,
+                        policy: SwarmPolicy {
+                            split_by_isp: split == 1,
+                            split_by_bitrate: split == 1,
+                        },
+                        threads,
+                        ..Default::default()
+                    };
+                    let oracle = Simulator::new(config(1)).run_store_rows(&store);
+                    for threads in [1, 2] {
+                        let sim = Simulator::new(config(threads));
+                        let mut run = sim.begin(LONG_HORIZON, 12);
+                        let mut from = 0;
+                        for (i, &watermark) in watermarks.iter().enumerate() {
+                            if i == resume_at {
+                                let mut snapshot = Vec::new();
+                                run.checkpoint(&mut snapshot).unwrap();
+                                run = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+                            }
+                            let batch: Vec<SessionRecord> = records
+                                .iter()
+                                .filter(|r| (from..watermark).contains(&r.start.as_secs()))
+                                .copied()
+                                .collect();
+                            run.push_batch(
+                                &SessionStore::from_records(&batch, LONG_HORIZON, 12),
+                                watermark,
+                            );
+                            from = watermark;
+                        }
+                        prop_assert_eq!(&run.finish(), &oracle);
+                    }
+                }
+            }
+        }
+
+        /// Horizon of [`long_sessions_strategy`]: 3 days, so a session
+        /// starting late on day 2 still fits a whole day.
+        const LONG_HORIZON: u64 = 3 * 86_400;
+
+        /// Long sessions (1 h to 1 day) by 12 users on 2 items, across 2
+        /// ISPs and 4 exchanges in 2 PoPs: swarms hold several peers for
+        /// hours at a stretch.
+        fn long_sessions_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+            let record = (
+                0u32..12,          // user
+                0u32..2,           // content
+                0u64..2 * 86_400,  // start
+                3_600u32..=86_400, // duration
+                0usize..5,         // device (MIX index)
+                0u8..2,            // isp
+                0u32..4,           // exchange
+            )
+                .prop_map(|(user, content, start, duration, device, isp, exchange)| {
+                    let topo = IspTopology::new(4, 2).unwrap();
+                    SessionRecord {
+                        user: UserId(user),
+                        content: ContentId(content),
+                        start: SimTime(start),
+                        duration_secs: duration,
+                        device: DeviceClass::MIX[device].0,
+                        isp: IspId(isp),
+                        location: topo.location_of(ExchangeId(exchange)),
+                    }
+                });
+            proptest::collection::vec(record, 1..20)
+        }
     }
 }

@@ -139,8 +139,8 @@ pub(crate) struct SwarmState {
 /// serves lookups and the key-ordered walks of the report and the
 /// snapshot. Two slot lists bound what a push visits:
 ///
-/// - the **live** machines, those holding active or carried sessions:
-///   with the batch's machines, they are all a push advances;
+/// - the **live** machines, those holding active sessions: with the
+///   batch's machines, they are all a push advances;
 /// - the **touched** machines, those advanced since the last day seal or
 ///   still holding unspilled days: a push that seals a day visits them too,
 ///   to spill and freeze them.
@@ -157,7 +157,7 @@ pub(crate) struct SwarmState {
 /// any day-sealing push. The report is then read off the spilled days.
 ///
 /// Peak memory is the batch being fed plus the engine's own state
-/// (active/carried sessions, accumulators and the growing report) — the
+/// (active sessions, accumulators and the growing report) — the
 /// trace itself is never resident as a whole, which is what makes the
 /// `large`/`full` presets runnable on one-day-sized memory.
 #[derive(Debug)]
@@ -168,7 +168,7 @@ pub struct SegmentedRun {
     pub(crate) states: Vec<SwarmState>,
     /// Every machine's slot, by key.
     pub(crate) index: BTreeMap<SwarmKey, u32>,
-    /// Slots of the machines holding active or carried sessions, ascending.
+    /// Slots of the machines holding active sessions, ascending.
     pub(crate) live: Vec<u32>,
     /// Slots of the machines advanced since the last day seal or still
     /// holding unspilled `daily` entries, unordered; each has its
@@ -218,9 +218,15 @@ impl SegmentedRun {
     /// the live ones, merged in slot order into one work list; a new swarm
     /// takes the next slot, so nothing is re-sorted. The fan-out over the
     /// work list is cut by cost, not by count: a machine costs one plus
-    /// its batch sessions, active and carried sessions. Head swarms thus
-    /// get chunks of their own, and a batch that brings no work and finds
-    /// no live machine spawns no thread.
+    /// its batch and active sessions. Head swarms thus get chunks of their
+    /// own, and a batch that brings no work and finds no live machine
+    /// spawns no thread.
+    ///
+    /// A machine pauses at the first window boundary at or past the
+    /// watermark, and admits there the batch's sessions its windows have
+    /// not reached: they all start below the watermark, so that window
+    /// would admit them. Between pushes, then, a machine keeps no session
+    /// outside its active set.
     ///
     /// A push that seals a day also visits the touched machines, and each
     /// machine spills its sealed days and, if quiescent, freezes inside the
@@ -623,7 +629,7 @@ mod tests {
 
     /// Checks a run's machine index against a walk over every machine: the
     /// index lists each machine once under its key, the live list is
-    /// exactly the machines holding active or carried sessions, and the
+    /// exactly the machines holding active sessions, and the
     /// touched list matches the flags and holds every machine with
     /// unspilled days or a quiescent machine's built matcher. Checks the
     /// spill boundary too: every open day lies at or past it, and every
@@ -748,6 +754,29 @@ mod tests {
             }
         }
         assert!(spilled_in_place > 0, "no dormant machine held the open day");
+    }
+
+    /// A watermark that cuts a session's first window off admits it at the
+    /// pause: sessions at 0 s and 95 s pushed as one batch to watermark
+    /// 100 leave the machine live at boundary 100, with the second session
+    /// active and nothing watched yet. The run then checkpoints, resumes
+    /// and finishes as `simulate` does.
+    #[test]
+    fn a_pause_admits_the_sessions_its_windows_have_not_reached() {
+        let store = SessionStore::from_trace(&pair_trace(95));
+        let sim = Simulator::new(SimConfig::default());
+        let mut run = sim.begin(store.horizon_secs(), store.population_len());
+        run.push_batch(&store, 100);
+        assert_eq!(run.live, [0]);
+        let swarm = &run.states[0].swarm;
+        assert!(matches!(swarm.matcher, MatcherSlot::Live(_)));
+        assert_eq!(swarm.t.as_secs(), 100);
+        assert_eq!(swarm.active.users, [0, 1]);
+        assert_eq!(swarm.active.watched[1], 0);
+        let mut snapshot = Vec::new();
+        run.checkpoint(&mut snapshot).unwrap();
+        let resumed = Simulator::resume(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(resumed.finish(), sim.simulate(&store));
     }
 
     #[test]

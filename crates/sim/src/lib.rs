@@ -21,8 +21,8 @@
 //!   thread count). [`Simulator::simulate`] is the single entry point: it
 //!   consumes any [`SessionSource`] and produces the same byte-identical
 //!   [`SimReport`] whether the sessions arrived as one monolithic batch,
-//!   day segments, or a live stream (sessions straddling a batch boundary
-//!   are carried forward by the resumable per-swarm window loops of
+//!   day segments, or a live stream (a session straddling a batch boundary
+//!   stays in the active set of its swarm's resumable window loop in
 //!   [`SegmentedRun`]);
 //! * [`online`] — the live ingest front-end: a bounded backpressured
 //!   channel of arriving sessions, watermark-driven day closes, the

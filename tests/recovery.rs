@@ -94,8 +94,8 @@ fn kill_at_every_day_close_recovers_byte_identically() {
 #[test]
 fn kill_at_every_mid_day_watermark_recovers_byte_identically() {
     // 9 000 s ticks never divide the day, so every checkpoint lands
-    // mid-day: live swarms, carried sessions and partially accumulated
-    // daily ledgers all cross the cut.
+    // mid-day: live swarms, sessions admitted at the cut's pause and
+    // partially accumulated daily ledgers all cross the cut.
     let tick = 9_000;
     let store = short_store(0.0002, 41, 2);
     assert!(!store.is_empty());
@@ -152,9 +152,9 @@ fn sparse_checkpoint_cadences_still_recover_exactly() {
 fn snapshot_bytes_do_not_depend_on_the_batch_schedule() {
     const WATERMARK: u64 = 15 * DAY;
     const PINNED: [u64; 3] = [
-        0x93ea_6418_b9a4_af5c,
-        0x5fbf_6871_ef97_9e49,
-        0xad73_f7b8_5789_8622,
+        0xd5fc_3e69_ed66_e227,
+        0x35e9_a215_a7f5_bc54,
+        0x4ff0_e020_5148_bf3f,
     ];
     let store = short_store(0.0003, 23, 30);
     for (&threads, pinned) in THREAD_COUNTS.iter().zip(PINNED) {
@@ -308,9 +308,8 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     }
 
     // So is a population too small for the user ids the snapshot holds:
-    // every restored active and carried session must index the per-user
-    // totals. Shrink the population to one user, far below the largest
-    // user id.
+    // every restored active session must index the per-user totals.
+    // Shrink the population to one user, far below the largest user id.
     let horizon = store.horizon_secs();
     let population = store.population_len();
     let bytes = with_population(&pristine, horizon, population, 1);
@@ -344,10 +343,11 @@ fn corrupted_snapshots_are_rejected_with_typed_errors() {
     clean(&path);
 }
 
-/// The restore checks the user of every active and every carried session
-/// on its own: one swarm holds a session still active at the cut and one
-/// carried past it (it starts in the cut's last window), and whichever of
-/// the two has the large user id must make a shrunk population corrupt.
+/// The restore checks the user of every restored session on its own: one
+/// swarm holds a session active since the start and one the cut's pause
+/// admitted (it starts in the cut's last window, so no window has reached
+/// it yet), and whichever of the two has the large user id must make a
+/// shrunk population corrupt.
 #[test]
 fn active_and_carried_user_ids_are_each_checked() {
     let template = short_store(0.0002, 7, 3).to_records()[0];
